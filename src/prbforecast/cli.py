@@ -10,10 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
-
-import numpy as np
 
 from . import metrics as M
 from . import synth
@@ -37,6 +36,16 @@ class UsageError(ValueError):
     pass
 
 
+def _check_number(key: str, value, integer: bool) -> None:
+    """Reject a config value that is not a finite JSON number, or not an
+    integer where `integer`; true/false are not numbers here."""
+    kinds = int if integer else (int, float)
+    if (isinstance(value, bool) or not isinstance(value, kinds)
+            or isinstance(value, float) and not math.isfinite(value)):
+        kind = "an integer" if integer else "a finite number"
+        raise UsageError(f"config key {key!r} must be {kind}, got {value!r}")
+
+
 DEFAULT_SPLIT = {"train_days": 150, "val_days": 15, "test_days": 15}
 
 
@@ -47,7 +56,9 @@ class RunConfig:
     SECTIONS = {"hyperparams", "train", "data", "split", "seed"}
 
     def __init__(self, doc: dict | None = None):
-        doc = dict(doc or {})
+        doc = {} if doc is None else doc
+        if not isinstance(doc, dict):
+            raise UsageError("config must be a JSON object")
         unknown = set(doc) - self.SECTIONS
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
@@ -58,15 +69,27 @@ class RunConfig:
                                 doc.get("data", {}), "data")
         self.split = self._merge(dict(DEFAULT_SPLIT), doc.get("split", {}), "split")
         self.seed = doc.get("seed", 0)
+        _check_number("seed", self.seed, integer=True)
         if "seed" in doc:
             self.train["seed"] = doc["seed"]
 
     @staticmethod
     def _merge(defaults: dict, overrides: dict, section: str) -> dict:
+        if not isinstance(overrides, dict):
+            raise UsageError(f"config section {section!r} must be a JSON object")
         unknown = set(overrides) - set(defaults)
         if unknown:
             raise UsageError(f"unknown keys in config section {section!r}: "
                              f"{sorted(unknown)}")
+        for key, value in overrides.items():
+            default = defaults[key]
+            if isinstance(default, (int, float)):
+                _check_number(f"{section}.{key}", value, isinstance(default, int))
+            elif isinstance(default, list):
+                if not isinstance(value, list):
+                    raise UsageError(f"config key '{section}.{key}' must be a list")
+                for v in value:
+                    _check_number(f"{section}.{key}", v, integer=False)
         out = dict(defaults)
         out.update(overrides)
         return out
@@ -167,7 +190,8 @@ def cmd_forecast(args) -> int:
             f"--from needs at least {n_past} preceding observations, found {at}")
     window, meta, next_ts = window_from_records(
         target.records[at - n_past:at], normalizer, args.carrier)
-    steps = rollout(model, window, meta, next_ts, args.carrier, args.horizon)
+    [steps] = rollout(model, window[None], meta[None], [next_ts], [args.carrier],
+                      args.horizon)
     forecast_to_csv(steps, normalizer, args.out)
     print(f"wrote {len(steps)} forecast rows to {args.out}")
     return EXIT_OK
@@ -178,25 +202,14 @@ def cmd_eval(args) -> int:
     if normalizer is None:
         raise UsageError(f"{args.model} has no normalizer; cannot evaluate raw data")
     series = load_csv(args.data)
-    report = M.evaluate(model, normalizer, series, args.horizon, args.anchors)
+    report = M.evaluate(model, normalizer, series, args.horizon, args.anchors,
+                        args.plot_dir)
     report["metadata"]["model_hash"] = M.model_hash(model, cfg, normalizer)
     report["metadata"]["data_span"] = {
         "start": min(str(s.records[0].timestamp) for s in series),
         "end": max(str(s.records[-1].timestamp) for s in series),
     }
     M.write_report(report, args.report)
-    if args.plot_dir:
-        os.makedirs(args.plot_dir, exist_ok=True)
-        hp = model.hp
-        for s in sorted(series, key=lambda x: x.carrier_id):
-            anchor = M.anchor_positions(len(s), hp.n_past, args.horizon, 1)[0]
-            window, meta, next_ts = window_from_records(
-                s.records[anchor - hp.n_past:anchor], normalizer, s.carrier_id)
-            steps = rollout(model, window, meta, next_ts, s.carrier_id, args.horizon)
-            truth = np.array([r.residual_prb for r in
-                              s.records[anchor:anchor + args.horizon]])
-            M.emit_plot_svg(truth, steps,
-                            os.path.join(args.plot_dir, f"carrier_{s.carrier_id}.svg"))
     agg = report["aggregate"]
     print(f"mean MAE {agg['mean_mae']:.4f}, "
           f"mean hit probability {agg['mean_hit_prob']:.4f}; "

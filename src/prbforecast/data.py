@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 
@@ -75,6 +76,9 @@ class KpiRecord:
     residual_prb: float
 
     def validate(self):
+        for name in ALL_COLUMNS:
+            if not math.isfinite(getattr(self, name)):
+                raise IngestionError(f"{name} must be finite, got {getattr(self, name)}")
         if self.timestamp.minute % 15 != 0:
             raise IngestionError(f"timestamp {self.timestamp} off the 15-minute grid")
         if not 0 <= self.carrier_id < N_CARRIERS:

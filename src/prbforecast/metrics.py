@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 
 import numpy as np
 
@@ -65,19 +66,31 @@ def anchor_positions(series_len: int, n_past: int, horizon: int,
 
 def evaluate(model: ForecastModel, normalizer: Normalizer,
              test_series: list[KpiSeries], horizon: int,
-             n_anchors: int = 1) -> dict:
+             n_anchors: int = 1, plot_dir: str | None = None) -> dict:
     """Per-carrier rollout metrics on residual PRB, averaged over anchors,
-    plus carrier-level aggregates."""
+    plus carrier-level aggregates. All (carrier, anchor) rows are rolled
+    out as one batch. With `plot_dir`, each carrier's first-anchor forecast
+    is also drawn to `carrier_<id>.svg` there."""
     hp = model.hp
+    series_list = sorted(test_series, key=lambda s: s.carrier_id)
+    if not series_list:
+        raise ValueError("no series to evaluate")
+    anchors = [anchor_positions(len(s), hp.n_past, horizon, n_anchors)
+               for s in series_list]
+    rows = [window_from_records(s.records[a - hp.n_past:a], normalizer, s.carrier_id)
+            + (s.carrier_id,) for s, anchor_list in zip(series_list, anchors)
+            for a in anchor_list]
+    windows, metas, next_ts, carriers = zip(*rows)
+    forecasts = iter(rollout(model, np.stack(windows), np.stack(metas), next_ts,
+                             carriers, horizon))
+    if plot_dir:
+        os.makedirs(plot_dir, exist_ok=True)
     per_carrier = []
-    for series in sorted(test_series, key=lambda s: s.carrier_id):
+    for series, anchor_list in zip(series_list, anchors):
         residuals = np.array([r.residual_prb for r in series.records])
-        anchors = anchor_positions(len(series), hp.n_past, horizon, n_anchors)
         maes, stds, hits = [], [], []
-        for a in anchors:
-            window, meta, next_ts = window_from_records(
-                series.records[a - hp.n_past:a], normalizer, series.carrier_id)
-            steps = rollout(model, window, meta, next_ts, series.carrier_id, horizon)
+        for a in anchor_list:
+            steps = next(forecasts)
             truth = residuals[a:a + horizon]
             q10 = np.array([s.q10 for s in steps])
             q50 = np.array([s.q50 for s in steps])
@@ -85,13 +98,16 @@ def evaluate(model: ForecastModel, normalizer: Normalizer,
             maes.append(mae(truth, q50))
             stds.append(abs_err_std(truth, q50))
             hits.append(hit_probability(truth, q10, q90))
+            if plot_dir and a == anchor_list[0]:
+                emit_plot_svg(truth, steps, os.path.join(
+                    plot_dir, f"carrier_{series.carrier_id}.svg"))
         per_carrier.append({
             "carrier_id": series.carrier_id,
             "mae": float(np.mean(maes)),
             "abs_err_std": float(np.mean(stds)),
             "hit_prob": float(np.mean(hits)),
             "horizon": horizon,
-            "anchors": anchors,
+            "anchors": anchor_list,
         })
     carrier_maes = [c["mae"] for c in per_carrier]
     return {

@@ -31,56 +31,44 @@ class ForecastStep:
     det: np.ndarray  # 8 deterministic KPI predictions, normalized units
 
 
-@dataclass
-class RolloutState:
-    window: np.ndarray       # (N, 9) normalized features
-    window_meta: np.ndarray  # (N, 5) calendar/carrier indices
-    next_timestamp: datetime
-    carrier_id: int
-    blocks_emitted: int = 0
-
-
-def rollout(model: ForecastModel, initial_window: np.ndarray,
-            initial_meta: np.ndarray, next_timestamp: datetime,
-            carrier_id: int, horizon: int) -> list[ForecastStep]:
-    """Emit `horizon` forecast steps starting at `next_timestamp`, rolling
-    M-step blocks through the fixed-length window. The last block is
-    truncated if the horizon is not a multiple of M."""
+def rollout(model: ForecastModel, windows: np.ndarray, metas: np.ndarray,
+            next_timestamps, carrier_ids, horizon: int) -> list[list[ForecastStep]]:
+    """Emit `horizon` forecast steps for each of B rows, advancing all rows
+    together in M-step blocks through their fixed-length windows (B, N, 9)
+    with metadata (B, N, 5). Row b starts at `next_timestamps[b]` for
+    carrier `carrier_ids[b]`. The last block is truncated if the horizon is
+    not a multiple of M. Returns one list of steps per row."""
     hp = model.hp
+    m = hp.n_future
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    initial_window = np.asarray(initial_window, dtype=np.float32)
-    if initial_window.shape != (hp.n_past, N_FEATURES):
-        raise ValueError(f"initial window must have shape "
-                         f"({hp.n_past}, {N_FEATURES}), got {initial_window.shape}")
-    state = RolloutState(window=initial_window.copy(),
-                         window_meta=np.asarray(initial_meta, dtype=np.int64).copy(),
-                         next_timestamp=next_timestamp, carrier_id=carrier_id)
-    steps: list[ForecastStep] = []
-    while len(steps) < horizon:
-        block_times = [state.next_timestamp + i * STEP for i in range(hp.n_future)]
-        dec_meta = np.array(
-            [calendar_indices(ts, carrier_id) for ts in block_times], dtype=np.int64)
-        out = model.forward_block(state.window, state.window_meta, dec_meta)
-        det = out.det[0]          # (M, 8)
-        quant = out.quantiles[0]  # (M, 3), sorted + clipped
-
-        fed = np.empty((hp.n_future, N_FEATURES), dtype=np.float32)
-        fed[:, :hp.n_det] = np.clip(det, 0.0, 1.0)
-        fed[:, hp.n_det] = quant[:, 1]
-        state.window = np.concatenate([state.window[hp.n_future:], fed])
-        state.window_meta = np.concatenate([state.window_meta[hp.n_future:], dec_meta])
-        state.blocks_emitted += 1
-        state.next_timestamp = block_times[-1] + STEP
-
-        for i, ts in enumerate(block_times):
-            if len(steps) == horizon:
-                break
-            steps.append(ForecastStep(
-                timestamp=ts, carrier_id=carrier_id,
-                q10=float(quant[i, 0]), q50=float(quant[i, 1]),
-                q90=float(quant[i, 2]), det=det[i].copy()))
-    return steps
+    windows = np.array(windows, dtype=np.float32)
+    metas = np.array(metas, dtype=np.int64)
+    if windows.shape[1:] != (hp.n_past, N_FEATURES) or not (
+            0 < len(windows) == len(metas) == len(next_timestamps) == len(carrier_ids)):
+        raise ValueError(f"need B >= 1 windows of shape ({hp.n_past}, {N_FEATURES}) with "
+                         f"as many metas, timestamps and carriers, got {windows.shape}")
+    n_blocks = -(-horizon // m)
+    times = [[ts + i * STEP for i in range(n_blocks * m)] for ts in next_timestamps]
+    future_meta = np.array(
+        [[calendar_indices(ts, c) for ts in row] for row, c in zip(times, carrier_ids)],
+        dtype=np.int64)
+    dets, quants = [], []
+    for b in range(n_blocks):
+        dec_meta = future_meta[:, b * m:(b + 1) * m]
+        out = model.forward_block(windows, metas, dec_meta)
+        fed = np.empty((len(windows), m, N_FEATURES), dtype=np.float32)
+        fed[..., :hp.n_det] = np.clip(out.det, 0.0, 1.0)
+        fed[..., hp.n_det] = out.quantiles[..., 1]
+        windows = np.concatenate([windows[:, m:], fed], axis=1)
+        metas = np.concatenate([metas[:, m:], dec_meta], axis=1)
+        dets.append(out.det)          # (B, M, 8)
+        quants.append(out.quantiles)  # (B, M, 3), sorted + clipped
+    return [[ForecastStep(timestamp=ts, carrier_id=c, q10=float(q[i, 0]),
+                          q50=float(q[i, 1]), q90=float(q[i, 2]), det=d[i].copy())
+             for i, ts in enumerate(row[:horizon])]
+            for row, c, d, q in zip(times, carrier_ids, np.concatenate(dets, axis=1),
+                                    np.concatenate(quants, axis=1))]
 
 
 def window_from_records(records, normalizer: Normalizer, carrier_id: int):

@@ -195,13 +195,18 @@ def train(train_samples: list[TrainingSample], val_samples: list[TrainingSample]
             batch = [train_samples[i] for i in order[start:start + cfg.batch_size]]
             enc_x, enc_meta, targets, dec_meta = batch_samples(batch)
             model.zero_grads()
-            det, quant = model.forward_training(enc_x, enc_meta, targets,
-                                                dec_meta, training=True)
-            loss = total_loss(det, quant, targets, cfg.alpha, cfg.beta, hp.quantiles)
-            value = float(loss.data)
-            if not np.isfinite(value):
-                raise TrainingError(f"non-finite training loss at epoch {epoch}")
-            T.backward(loss)
+            try:
+                det, quant = model.forward_training(enc_x, enc_meta, targets,
+                                                    dec_meta, training=True)
+                loss = total_loss(det, quant, targets, cfg.alpha, cfg.beta,
+                                  hp.quantiles)
+                value = float(loss.data)
+                if not np.isfinite(value):
+                    raise TrainingError(f"non-finite training loss at epoch {epoch}")
+                T.backward(loss)
+            except BaseException:
+                T.tape().clear()  # drop the failed step's ops and activations
+                raise
             clip_gradients(params, cfg.clip_norm)
             adam_step(params, state, cfg.lr, weight_decay=cfg.weight_decay)
             epoch_losses.append(value * len(batch))
@@ -296,8 +301,17 @@ def load_checkpoint(path: str) -> tuple[ForecastModel, TrainConfig, Normalizer |
         header = json.loads(blob[12:12 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: corrupt header: {e}") from None
-    payload = blob[12 + header_len:]
+    try:
+        return _restore(header, blob[12 + header_len:], path)
+    except CheckpointError:
+        raise
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: malformed header: {e!r}") from None
 
+
+def _restore(header: dict, payload: bytes, path: str):
+    """Model, config and normalizer from a decoded header and its payload;
+    a header of the wrong shape raises KeyError, TypeError or ValueError."""
     manifest = header["manifest"]
     expected = 0
     for entry in manifest:

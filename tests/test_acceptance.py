@@ -147,8 +147,8 @@ def test_criterion_4_rollout_invariants_week_horizon():
              for i in range(hp.n_past)]
     meta = np.array([calendar_indices(t, 2) for t in times], dtype=np.int64)
 
-    steps = rollout(model, window, meta, start, 2, 672)
-    short = rollout(model, window, meta, start, 2, 96)
+    steps = rollout(model, window[None], meta[None], [start], [2], 672)[0]
+    short = rollout(model, window[None], meta[None], [start], [2], 96)[0]
     ok = len(steps) == 672
     ok = ok and all(a.q50 == b.q50 and np.array_equal(a.det, b.det)
                     for a, b in zip(short, steps[:96]))
@@ -251,10 +251,10 @@ def test_criterion_7_determinism_and_checkpoint_roundtrip(tmp_path):
     s = train_s[0]
     window, meta, next_ts = window_from_records(
         s.records[:hp.n_past], norm, s.carrier_id)
-    a = rollout(m1, window, meta, next_ts, s.carrier_id, 24)
+    a = rollout(m1, window[None], meta[None], [next_ts], [s.carrier_id], 24)[0]
     window, meta, next_ts = window_from_records(
         s.records[:hp.n_past], norm2, s.carrier_id)
-    b = rollout(loaded, window, meta, next_ts, s.carrier_id, 24)
+    b = rollout(loaded, window[None], meta[None], [next_ts], [s.carrier_id], 24)[0]
     ok = ok and all(x.q10 == y.q10 and x.q50 == y.q50 and x.q90 == y.q90
                     and np.array_equal(x.det, y.det) for x, y in zip(a, b))
     report(7, "training determinism and checkpoint round trip", ok)

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import struct
 
 import pytest
 
@@ -113,6 +114,24 @@ class TestTrain:
                      "--config", str(config),
                      "--out", str(tmp_path / "m.rupf")]) == 1
 
+    @pytest.mark.parametrize("doc, key", [
+        ({"train": {"epochs": "3"}}, "train.epochs"),
+        ({"train": {"epochs": True}}, "train.epochs"),
+        ({"train": {"lr": "0.1"}}, "train.lr"),
+        ({"hyperparams": {"d_emb": 4.0}}, "hyperparams.d_emb"),
+        ({"hyperparams": {"quantiles": "0.5"}}, "hyperparams.quantiles"),
+        ({"split": {"train_days": None}}, "split.train_days"),
+        ({"seed": [7]}, "seed"),
+    ])
+    def test_wrongly_typed_config_value_is_usage_error(self, workspace, tmp_path,
+                                                        capsys, doc, key):
+        config = tmp_path / "typed.json"
+        config.write_text(json.dumps(doc))
+        assert main(["train", "--data", str(workspace["data"]),
+                     "--config", str(config),
+                     "--out", str(tmp_path / "m.rupf")]) == 1
+        assert repr(key) in capsys.readouterr().err
+
     def test_missing_data_file_is_io_error(self, workspace, tmp_path):
         assert main(["train", "--data", str(tmp_path / "absent.csv"),
                      "--config", str(workspace["config"]),
@@ -175,6 +194,36 @@ class TestEval:
         assert main(["eval", "--model", str(broken),
                      "--data", str(workspace["data"]), "--horizon", "8",
                      "--report", str(tmp_path / "r.json")]) == 1
+
+
+    def test_malformed_checkpoint_header_is_usage_error(self, workspace, tmp_path):
+        blob = workspace["model"].read_bytes()
+        n = struct.unpack("<I", blob[8:12])[0]
+        header = json.loads(blob[12:12 + n])
+        del header["manifest"]
+        raw = json.dumps(header).encode()
+        broken = tmp_path / "no_manifest.rupf"
+        broken.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + n:])
+        assert main(["eval", "--model", str(broken),
+                     "--data", str(workspace["data"]), "--horizon", "8",
+                     "--report", str(tmp_path / "r.json")]) == 1
+
+    def test_plots_reuse_the_scored_rollout(self, workspace, tmp_path, monkeypatch):
+        from prbforecast import metrics
+        calls = []
+
+        def counting_rollout(*args, **kwargs):
+            calls.append(args)
+            return real_rollout(*args, **kwargs)
+
+        real_rollout = metrics.rollout
+        monkeypatch.setattr(metrics, "rollout", counting_rollout)
+        assert main(["eval", "--model", str(workspace["model"]),
+                     "--data", str(workspace["data"]), "--horizon", "8",
+                     "--anchors", "2", "--report", str(tmp_path / "r.json"),
+                     "--plot-dir", str(tmp_path / "plots")]) == 0
+        assert len(calls) == 1
+        assert sorted(os.listdir(tmp_path / "plots")) == ["carrier_0.svg", "carrier_1.svg"]
 
 
 class TestParser:

@@ -136,6 +136,18 @@ class TestCsvRoundtrip:
         with pytest.raises(IngestionError, match="residual"):
             load_csv(str(path))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_rejected(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        save_csv([make_series(5)], str(path))
+        lines = path.read_text().splitlines()
+        parts = lines[3].split(",")
+        parts[2] = value  # prb_mean
+        lines[3] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(IngestionError, match=r":4: prb_mean must be finite"):
+            load_csv(str(path))
+
 
 class TestSplit:
     def test_80_10_10(self):

@@ -122,7 +122,8 @@ class TestEvaluate:
         s = series[0]
         window, meta, next_ts = window_from_records(
             s.records[:hp.n_past], norm, s.carrier_id)
-        steps = rollout(model, window, meta, next_ts, s.carrier_id, hp.n_future)
+        steps = rollout(model, window[None], meta[None], [next_ts], [s.carrier_id],
+                        hp.n_future)[0]
         truth = [r.residual_prb for r in s.records[hp.n_past:hp.n_past + hp.n_future]]
         assert report["per_carrier"][0]["mae"] == pytest.approx(
             mae(truth, [st.q50 for st in steps]), abs=1e-12)

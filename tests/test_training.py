@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -191,6 +194,13 @@ class TestClip:
             assert np.linalg.norm(params[0].grad) <= before + 1e-6
 
 
+def _edit_header(blob: bytes, edit) -> bytes:
+    """Checkpoint bytes with the JSON header `h` replaced by `edit(h)`."""
+    n = struct.unpack("<I", blob[8:12])[0]
+    raw = json.dumps(edit(json.loads(blob[12:12 + n]))).encode()
+    return blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + n:]
+
+
 class TestTrainLoop:
     def test_patience_counting_stops_at_epoch_12(self, monkeypatch):
         # val losses 1.0 then 0.9 repeated: stop after 10 stale epochs
@@ -238,6 +248,14 @@ class TestTrainLoop:
     def test_empty_split_rejected(self):
         with pytest.raises(ValueError):
             train([], make_samples(4), TINY, TrainConfig())
+
+    def test_non_finite_loss_leaves_tape_clean(self):
+        samples = make_samples(8)
+        samples[3].decoder_targets[-1, -1] = np.nan  # scored, never fed back
+        cfg = TrainConfig(epochs=1, batch_size=8, seed=1)
+        with pytest.raises(TrainingError, match="non-finite training loss"):
+            train(samples, make_samples(4, seed=1), TINY, cfg)
+        assert len(T.tape()) == 0
 
 
 class TestCheckpoint:
@@ -305,6 +323,22 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="version"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: {k: v for k, v in h.items() if k != "manifest"},
+        lambda h: [h],
+        lambda h: {**h, "hyperparams": {**h["hyperparams"], "d_emb": "64"}},
+        lambda h: {**h, "hyperparams": {**h["hyperparams"], "heads": 3}},
+        lambda h: {**h, "hyperparams": {**h["hyperparams"], "width": 64}},
+        lambda h: {**h, "train_config": {**h["train_config"], "lr": -1.0}},
+        lambda h: {**h, "manifest": [{}] + h["manifest"][1:]},
+    ], ids=["no_manifest", "list", "str_d_emb", "bad_heads", "unknown_hp",
+            "negative_lr", "empty_entry"])
+    def test_malformed_header_rejected(self, tmp_path, edit):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(_edit_header(checkpoint_bytes(*self._trained()), edit))
+        with pytest.raises(CheckpointError, match="malformed header"):
             load_checkpoint(str(path))
 
 
