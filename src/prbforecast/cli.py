@@ -53,7 +53,7 @@ class RunConfig:
     """JSON run configuration; unknown keys are rejected and absent keys
     fall back to the default model/training configuration."""
 
-    SECTIONS = {"hyperparams", "train", "data", "split", "seed"}
+    SECTIONS = {"hyperparams", "train", "split", "seed"}
 
     def __init__(self, doc: dict | None = None):
         doc = {} if doc is None else doc
@@ -65,8 +65,6 @@ class RunConfig:
         self.hyperparams = self._merge(Hyperparams().to_dict(),
                                        doc.get("hyperparams", {}), "hyperparams")
         self.train = self._merge(TrainConfig().to_dict(), doc.get("train", {}), "train")
-        self.data = self._merge({"csv_path": None, "synth": {}},
-                                doc.get("data", {}), "data")
         self.split = self._merge(dict(DEFAULT_SPLIT), doc.get("split", {}), "split")
         self.seed = doc.get("seed", 0)
         _check_number("seed", self.seed, integer=True)

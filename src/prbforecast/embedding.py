@@ -86,7 +86,7 @@ def embed_tokens(tables: EmbeddingTables, features: np.ndarray, meta: np.ndarray
                              f"[{col.min()}, {col.max()}] vs {TABLE_ROWS[name]} rows")
 
     x = Tensor(features, dtype=tables.w_proj.data.dtype)
-    out = T.add(T.matmul(x, tables.w_proj), tables.b_proj)
+    out = T.linear(x, tables.w_proj, tables.b_proj)
     positions = np.broadcast_to(np.arange(steps), (batch, steps))
     out = T.add(out, T.embedding_lookup(pos_table, positions))
     for i, name in enumerate(META_ORDER):

@@ -188,32 +188,13 @@ def causal_mask(steps: int) -> np.ndarray:
 
 def _attention(params: AttentionParams, q_in: Tensor, kv_in: Tensor, heads: int,
                mask: np.ndarray | None, dropout_rate: float, training: bool) -> Tensor:
-    batch, t_q, d = q_in.shape
-    t_kv = kv_in.shape[1]
-    head_dim = d // heads
-
-    def split(x, steps):
-        x = T.reshape(x, (batch, steps, heads, head_dim))
-        return T.transpose(x, (0, 2, 1, 3))  # (B, h, T, k)
-
-    q = split(T.add(T.matmul(q_in, params.wq), params.bq), t_q)
-    k = split(T.add(T.matmul(kv_in, params.wk), params.bk), t_kv)
-    v = split(T.add(T.matmul(kv_in, params.wv), params.bv), t_kv)
-
-    scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(head_dim))
-    weights = T.softmax_lastdim(scores, mask=mask)
-    ctx = T.matmul(weights, v)                       # (B, h, T_q, k)
-    ctx = T.transpose(ctx, (0, 2, 1, 3))
-    ctx = T.reshape(ctx, (batch, t_q, d))
-    out = T.add(T.matmul(ctx, params.wo), params.bo)
-    return T.dropout(out, dropout_rate, training)
+    return T.dropout(T.attention(params, q_in, kv_in, heads, mask), dropout_rate, training)
 
 
 def _feed_forward(params: FeedForwardParams, x: Tensor,
                   dropout_rate: float, training: bool) -> Tensor:
-    h = T.relu(T.add(T.matmul(x, params.w1), params.b1))
-    out = T.add(T.matmul(h, params.w2), params.b2)
-    return T.dropout(out, dropout_rate, training)
+    h = T.relu(T.linear(x, params.w1, params.b1))
+    return T.dropout(T.linear(h, params.w2, params.b2), dropout_rate, training)
 
 
 class ForecastModel:
@@ -272,7 +253,7 @@ class ForecastModel:
             x = T.layer_norm(T.add(x, c), layer.ln2.gain, layer.ln2.bias)
             f = _feed_forward(layer.ff, x, hp.dropout, training)
             x = T.layer_norm(T.add(x, f), layer.ln3.gain, layer.ln3.bias)
-        out = T.add(T.matmul(x, self.w_head), self.b_head)
+        out = T.linear(x, self.w_head, self.b_head)
         det = T.slice_lastdim(out, 0, hp.n_det)
         quant = T.slice_lastdim(out, hp.n_det, hp.n_det + len(hp.quantiles))
         return det, quant

@@ -102,8 +102,9 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g.astype(t.data.dtype, copy=False)
+        t.grad = np.array(g, dtype=t.data.dtype)  # a copy: g may be shared
+    else:
+        t.grad += g.astype(t.data.dtype, copy=False)
 
 
 def _result(data, inputs, backward_fn) -> Tensor:
@@ -193,6 +194,40 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(data, (a, b), backward)
 
 
+def _affine(x2: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
+    """x2 @ w + b for 2-D x2: the one GEMM behind `linear` and `attention`."""
+    out = x2 @ w.data
+    out += b.data
+    return out
+
+
+def _affine_backward(x2: np.ndarray, w: Tensor, b: Tensor, g2: np.ndarray,
+                     need_dx: bool) -> np.ndarray | None:
+    """Accumulate the weight and bias gradients of `_affine` (each one GEMM
+    or one column sum over every leading row) and return dx2 if asked."""
+    _accumulate(w, x2.T @ g2)
+    _accumulate(b, g2.sum(axis=0))
+    return g2 @ w.data.T if need_dx else None
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b over the last axis of x, for any leading dims: (..., d_in)
+    with w (d_in, d_out) and b (d_out,). Forward and both gradients are 2-D
+    GEMMs over the flattened leading dims."""
+    if w.data.ndim != 2 or x.data.ndim < 1 or x.shape[-1] != w.shape[0] \
+            or b.shape != (w.shape[1],):
+        raise ShapeError(f"linear shape mismatch: {x.shape} x {w.shape} + {b.shape}")
+    x2 = x.data.reshape(-1, w.shape[0])
+    data = _affine(x2, w, b).reshape(x.shape[:-1] + (w.shape[1],))
+
+    def backward(g):
+        dx2 = _affine_backward(x2, w, b, g.reshape(-1, w.shape[1]), x.requires_grad)
+        if dx2 is not None:
+            _accumulate(x, dx2.reshape(x.shape))
+
+    return _result(data, (x, w, b), backward)
+
+
 def relu(a: Tensor) -> Tensor:
     data = np.maximum(a.data, 0)
 
@@ -227,10 +262,11 @@ def embedding_lookup(table: Tensor, indices) -> Tensor:
     def backward(g):
         if not table.requires_grad:
             return
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, idx.reshape(-1),
-                  g.reshape(-1, table.shape[-1]).astype(table.data.dtype, copy=False))
+        # Scatter-add as one GEMM: a one-hot (n, rows) matrix, transposed,
+        # times the (n, d) gradient rows; repeated indices sum in the product.
+        flat = idx.reshape(-1)
+        one_hot = (flat[:, None] == np.arange(rows)).astype(table.data.dtype)
+        _accumulate(table, one_hot.T @ g.reshape(-1, table.shape[-1]))
 
     return _result(data, (table,), backward)
 
@@ -300,22 +336,97 @@ def softmax_lastdim(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
     """Softmax over the last axis, stabilized by max-subtraction.
 
     `mask` is an optional additive array (0 for visible, -inf for masked),
-    broadcastable to `a.shape`. An all-masked row is a precondition violation.
+    broadcastable to `a.shape`. An all-masked row is a precondition violation
+    and raises ValueError; so does a NaN or +inf score, with its own message.
     """
     if a.shape[-1] < 1:
         raise ShapeError("softmax needs a nonempty last dimension")
-    x = a.data if mask is None else a.data + mask
-    m = x.max(axis=-1, keepdims=True)
-    if not np.isfinite(m).all():
-        raise ValueError("softmax row is fully masked")
-    e = np.exp(x - m)
-    data = e / e.sum(axis=-1, keepdims=True)
+    data = _softmax(a.data, mask)
 
     def backward(g):
-        dot = (g * data).sum(axis=-1, keepdims=True)
-        _accumulate(a, (g - dot) * data)
+        _accumulate(a, _softmax_backward(data, g))
 
     return _result(data, (a,), backward)
+
+
+def _softmax(x: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    if mask is not None:
+        x = x + mask
+    m = x.max(axis=-1, keepdims=True)
+    if not np.isfinite(m).all():
+        # max() propagates NaN, so a row maximum of -inf means every entry
+        # of the row is -inf; NaN or +inf is a numerical fault upstream.
+        if np.isneginf(m[~np.isfinite(m)]).all():
+            raise ValueError("softmax row is fully masked")
+        raise ValueError("softmax got non-finite scores (NaN or +inf)")
+    e = np.exp(x - m)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_backward(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    dot = (g * y).sum(axis=-1, keepdims=True)
+    return (g - dot) * y
+
+
+def attention(params, q_in: Tensor, kv_in: Tensor, heads: int,
+              mask: np.ndarray | None = None) -> Tensor:
+    """Multi-head scaled dot-product attention as one tape op.
+
+    `params` carries (d, d) weights and (d,) biases named wq, bq, wk, bk,
+    wv, bv, wo, bo. q_in is (B, T_q, d), kv_in is (B, T_kv, d); pass the
+    same tensor for self-attention. `mask` is an additive (T_q, T_kv) array
+    as in `softmax_lastdim`. The four projections are GEMMs over all B*T
+    rows; the score and context products are per-row (B, h, T, k) matmuls.
+    """
+    batch, t_q, d = q_in.shape
+    t_kv = kv_in.shape[1]
+    if d % heads != 0 or kv_in.shape != (batch, t_kv, d):
+        raise ShapeError(f"attention shape mismatch: {q_in.shape} x {kv_in.shape} "
+                         f"with {heads} heads")
+    head_dim = d // heads
+    s = 1.0 / np.sqrt(head_dim)
+    p = params
+    q2 = q_in.data.reshape(-1, d)
+    kv2 = kv_in.data.reshape(-1, d)
+
+    def split(x2, steps):  # (B*T, d) -> (B, h, T, k)
+        return x2.reshape(batch, steps, heads, head_dim).transpose(0, 2, 1, 3)
+
+    def merge(x):  # (B, h, T, k) -> (B*T, d)
+        return x.transpose(0, 2, 1, 3).reshape(-1, d)
+
+    q = split(_affine(q2, p.wq, p.bq), t_q)
+    k = split(_affine(kv2, p.wk, p.bk), t_kv)
+    v = split(_affine(kv2, p.wv, p.bv), t_kv)
+    scores = np.matmul(q, k.transpose(0, 1, 3, 2))
+    scores *= scores.dtype.type(s)
+    weights = _softmax(scores, mask)
+    ctx2 = merge(np.matmul(weights, v))
+    data = _affine(ctx2, p.wo, p.bo).reshape(batch, t_q, d)
+
+    def backward(g):
+        # Each intermediate gradient is rounded to its forward array's dtype,
+        # as separate tape ops would round it (a float64 mask widens the
+        # weights but not the scores).
+        dctx = split(_affine_backward(ctx2, p.wo, p.bo, g.reshape(-1, d), True), t_q)
+        dv = np.matmul(weights.transpose(0, 1, 3, 2), dctx).astype(v.dtype, copy=False)
+        dweights = np.matmul(dctx, v.transpose(0, 1, 3, 2))
+        dscores = _softmax_backward(weights, dweights).astype(scores.dtype, copy=False)
+        dscores = (dscores * s).astype(scores.dtype, copy=False)
+        dq = np.matmul(dscores, k).astype(q.dtype, copy=False)
+        dk = np.matmul(dscores.transpose(0, 1, 3, 2), q).astype(k.dtype, copy=False)
+        need_q, need_kv = q_in.requires_grad, kv_in.requires_grad
+        dv_in = _affine_backward(kv2, p.wv, p.bv, merge(dv), need_kv)
+        dk_in = _affine_backward(kv2, p.wk, p.bk, merge(dk), need_kv)
+        dq_in = _affine_backward(q2, p.wq, p.bq, merge(dq), need_q)
+        if need_kv:
+            _accumulate(kv_in, dv_in.reshape(kv_in.shape))
+            _accumulate(kv_in, dk_in.reshape(kv_in.shape))
+        if need_q:
+            _accumulate(q_in, dq_in.reshape(q_in.shape))
+
+    inputs = (q_in, kv_in, p.wq, p.bq, p.wk, p.bk, p.wv, p.bv, p.wo, p.bo)
+    return _result(data, inputs, backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

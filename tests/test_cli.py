@@ -114,6 +114,14 @@ class TestTrain:
                      "--config", str(config),
                      "--out", str(tmp_path / "m.rupf")]) == 1
 
+    def test_data_section_is_unknown_config_key(self, workspace, tmp_path, capsys):
+        config = tmp_path / "data_section.json"
+        config.write_text(json.dumps({"data": {"csv_path": "other.csv"}}))
+        assert main(["train", "--data", str(workspace["data"]),
+                     "--config", str(config),
+                     "--out", str(tmp_path / "m.rupf")]) == 1
+        assert "unknown config keys: ['data']" in capsys.readouterr().err
+
     @pytest.mark.parametrize("doc, key", [
         ({"train": {"epochs": "3"}}, "train.epochs"),
         ({"train": {"epochs": True}}, "train.epochs"),

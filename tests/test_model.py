@@ -165,6 +165,17 @@ class TestTeacherForcing:
         np.testing.assert_array_equal(quant_a.data, quant_b.data)
 
 
+class TestTapeOps:
+    def test_default_training_forward_records_few_ops(self):
+        """Projections and attention blocks are fused tape ops (93 here);
+        composing them from matmul, add, reshape, etc. would record 266."""
+        hp = Hyperparams()
+        T.seed_all(0)
+        model = ForecastModel(hp)
+        model.forward_training(*make_batch(hp, batch=400), training=True)
+        assert len(T.tape()) <= 130
+
+
 class TestInferenceBlock:
     def test_repeated_calls_bit_identical(self):
         hp = Hyperparams()

@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from prbforecast import tensor as T
+from prbforecast.model import causal_mask
 from prbforecast.tensor import AutodiffError, ShapeError, Tensor
 
 from conftest import assert_grads_close, central_diff, f64_tensor
@@ -49,6 +52,138 @@ class TestMatmul:
         assert_grads_close(x.grad, numeric[0])
 
 
+class TestLinear:
+    def test_matches_matmul_plus_bias(self):
+        rng = np.random.default_rng(20)
+        x = Tensor(rng.standard_normal((3, 5, 4)))
+        w = Tensor(rng.standard_normal((4, 6)))
+        b = Tensor(rng.standard_normal(6))
+        np.testing.assert_allclose(T.linear(x, w, b).data,
+                                   x.data @ w.data + b.data, rtol=1e-6, atol=1e-6)
+
+    def test_shape_mismatch_names_shapes(self):
+        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 5\)"):
+            T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))),
+                     Tensor(np.zeros(5)))
+        with pytest.raises(ShapeError):
+            T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 5))),
+                     Tensor(np.zeros(4)))
+
+    def test_gradient_matches_finite_differences_3d_with_bias(self):
+        rng = np.random.default_rng(21)
+        x = f64_tensor(rng, (3, 2, 4))
+        w = f64_tensor(rng, (4, 5))
+        b = f64_tensor(rng, (5,))
+        probe = Tensor(rng.standard_normal((3, 2, 5)), dtype=np.float64)
+
+        def loss():
+            return float((T.linear(x, w, b).data * probe.data).sum())
+
+        numeric = central_diff(loss, [x, w, b])
+        T.backward(T.tsum(T.mul(T.linear(x, w, b), probe)))
+        for p, num in zip((x, w, b), numeric):
+            assert_grads_close(p.grad, num)
+
+
+def attention_params(rng, d, dtype=np.float64):
+    names = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
+    return SimpleNamespace(**{
+        n: Tensor(rng.standard_normal((d, d) if n[0] == "w" else d) / np.sqrt(d),
+                  requires_grad=True, dtype=dtype) for n in names})
+
+
+def unfused_attention(p, q_in, kv_in, heads, mask):
+    """The op-by-op composition that the fused `attention` replaces."""
+    batch, t_q, d = q_in.shape
+    t_kv = kv_in.shape[1]
+    head_dim = d // heads
+
+    def split(x, steps):
+        return T.transpose(T.reshape(x, (batch, steps, heads, head_dim)), (0, 2, 1, 3))
+
+    q = split(T.add(T.matmul(q_in, p.wq), p.bq), t_q)
+    k = split(T.add(T.matmul(kv_in, p.wk), p.bk), t_kv)
+    v = split(T.add(T.matmul(kv_in, p.wv), p.bv), t_kv)
+    scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(head_dim))
+    ctx = T.matmul(T.softmax_lastdim(scores, mask=mask), v)
+    ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (batch, t_q, d))
+    return T.add(T.matmul(ctx, p.wo), p.bo)
+
+
+class TestAttention:
+    @pytest.mark.parametrize("t_q, t_kv, cross", [(3, 3, False), (2, 5, True)])
+    def test_gradient_matches_finite_differences(self, t_q, t_kv, cross):
+        rng = np.random.default_rng(22)
+        d, heads = 4, 2
+        p = attention_params(rng, d)
+        q_in = f64_tensor(rng, (2, t_q, d))
+        kv_in = f64_tensor(rng, (2, t_kv, d)) if cross else q_in
+        mask = None if cross else causal_mask(t_q)
+        probe = Tensor(rng.standard_normal((2, t_q, d)), dtype=np.float64)
+        leaves = [q_in] + ([kv_in] if cross else []) + list(vars(p).values())
+
+        def loss():
+            out = T.attention(p, q_in, kv_in, heads, mask)
+            return float((out.data * probe.data).sum())
+
+        numeric = central_diff(loss, leaves)
+        T.backward(T.tsum(T.mul(T.attention(p, q_in, kv_in, heads, mask), probe)))
+        assert len(leaves) == (10 if cross else 9)
+        for leaf, num in zip(leaves, numeric):
+            assert_grads_close(leaf.grad, num)
+
+    @pytest.mark.parametrize("cross", [False, True])
+    def test_matches_unfused_composition_float32(self, cross):
+        rng = np.random.default_rng(23)
+        d, heads, t_q = 8, 2, 4
+        t_kv = 3 if cross else t_q
+        p = attention_params(rng, d, dtype=np.float32)
+        q_in = Tensor(rng.standard_normal((5, t_q, d)), requires_grad=True)
+        kv_in = Tensor(rng.standard_normal((5, t_kv, d)), requires_grad=True) \
+            if cross else q_in
+        mask = None if cross else causal_mask(t_q)
+        probe = Tensor(rng.standard_normal((5, t_q, d)))
+        leaves = [q_in, kv_in] + list(vars(p).values())
+
+        def run(fn):
+            for leaf in leaves:
+                leaf.zero_grad()
+            out = fn(p, q_in, kv_in, heads, mask)
+            T.backward(T.tsum(T.mul(out, probe)))
+            return out.data, [leaf.grad.copy() for leaf in leaves]
+
+        fused, fused_grads = run(T.attention)
+        unfused, unfused_grads = run(unfused_attention)
+        np.testing.assert_allclose(fused, unfused, rtol=1e-5, atol=1e-5)
+        for a, b in zip(fused_grads, unfused_grads):
+            np.testing.assert_allclose(a, b, rtol=1e-4, atol=1e-5)
+
+    def test_fused_op_is_one_tape_entry(self):
+        rng = np.random.default_rng(24)
+        p = attention_params(rng, 4)
+        x = f64_tensor(rng, (2, 3, 4))
+        T.attention(p, x, x, 2, causal_mask(3))
+        assert len(T.tape()) == 1
+
+    def test_nan_scores_and_fully_masked_rows_are_distinct_errors(self):
+        rng = np.random.default_rng(25)
+        p = attention_params(rng, 4)
+        x = f64_tensor(rng, (1, 3, 4))
+        with pytest.raises(ValueError, match="fully masked"):
+            T.attention(p, x, x, 2, np.full((3, 3), -np.inf))
+        x.data[0, 1, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite scores"):
+            T.attention(p, x, x, 2, causal_mask(3))
+
+    def test_bad_shapes_are_errors(self):
+        rng = np.random.default_rng(26)
+        p = attention_params(rng, 4)
+        with pytest.raises(ShapeError):
+            T.attention(p, f64_tensor(rng, (1, 3, 4)), f64_tensor(rng, (1, 3, 4)), 3)
+        with pytest.raises(ShapeError):
+            T.attention(p, f64_tensor(rng, (1, 3, 4)), f64_tensor(rng, (2, 3, 4)), 2)
+
+
 class TestSoftmax:
     def test_symmetry(self):
         out = T.softmax_lastdim(Tensor([0.0, 0.0]))
@@ -75,6 +210,14 @@ class TestSoftmax:
         mask = np.full(3, -np.inf)
         with pytest.raises(ValueError, match="masked"):
             T.softmax_lastdim(Tensor([1.0, 2.0, 3.0]), mask=mask)
+
+    def test_nan_row_is_reported_as_non_finite_scores(self):
+        with pytest.raises(ValueError, match="non-finite scores") as err:
+            T.softmax_lastdim(Tensor([[1.0, 2.0], [np.nan, 0.0]]))
+        assert "masked" not in str(err.value)
+        with pytest.raises(ValueError, match="non-finite scores"):
+            T.softmax_lastdim(Tensor([np.nan, 0.0, 1.0]),
+                              mask=np.array([0.0, -np.inf, 0.0]))
 
     def test_gradient(self):
         rng = np.random.default_rng(3)
@@ -146,6 +289,18 @@ class TestElementwise:
         table = Tensor(np.arange(12 * 3, dtype=np.float32).reshape(12, 3))
         out = T.embedding_lookup(table, np.array([11]))
         np.testing.assert_array_equal(out.data[0], table.data[11])
+
+    def test_embedding_lookup_repeated_index_gradient_matches_add_at(self):
+        rng = np.random.default_rng(27)
+        table = f64_tensor(rng, (5, 3))
+        idx = np.array([[4, 1, 4], [0, 4, 1]])
+        g = rng.standard_normal((2, 3, 3))
+        T.backward(T.tsum(T.mul(T.embedding_lookup(table, idx),
+                                Tensor(g, dtype=np.float64))))
+        expected = np.zeros((5, 3))
+        np.add.at(expected, idx.reshape(-1), g.reshape(-1, 3))
+        np.testing.assert_allclose(table.grad, expected, rtol=1e-12, atol=1e-12)
+        assert (table.grad[[2, 3]] == 0).all()
 
     def test_embedding_lookup_out_of_range_names_index(self):
         table = Tensor(np.zeros((12, 3)))
