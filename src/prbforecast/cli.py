@@ -16,8 +16,9 @@ import sys
 
 from . import metrics as M
 from . import synth
-from .data import (IngestionError, Normalizer, chronological_split, load_csv,
-                   make_samples, parse_timestamp, save_csv)
+from .data import (STEP, IngestionError, Normalizer, chronological_split,
+                   load_csv, make_samples, parse_timestamp, save_csv, to_datetime,
+                   to_datetime64)
 from .model import ForecastModel, Hyperparams
 from .rollout import forecast_to_csv, rollout, window_from_records
 from .synth import STEPS_PER_DAY
@@ -147,14 +148,8 @@ def cmd_train(args) -> int:
             f"{steps[0]}+{steps[1]} for train+val; shrink split days")
     # the test span may be held in a separate file; only train+val are required
     test_steps = min(steps[2], available - steps[0] - steps[1])
-    if test_steps < 1:
-        test_steps = 0
-    if test_steps:
-        train_series, val_series, _ = chronological_split(
-            series, (steps[0], steps[1], test_steps))
-    else:
-        train_series, val_series, _ = chronological_split(
-            series, (steps[0], available - steps[0] - 1, 1))
+    train_series, val_series, _ = chronological_split(
+        series, (steps[0], steps[1], test_steps))
 
     normalizer = Normalizer.fit(train_series)
     train_samples = make_samples(train_series, normalizer, hp.n_past, hp.n_future)
@@ -178,16 +173,14 @@ def cmd_forecast(args) -> int:
         raise UsageError(f"carrier {args.carrier} not present in {args.data}")
     target = series[args.carrier]
     start = parse_timestamp(getattr(args, "from"))
-    index = {r.timestamp: i for i, r in enumerate(target.records)}
-    if start not in index:
+    at = int((to_datetime64(start) - target.times[0]) // STEP)
+    if not 0 <= at < len(target):
         raise UsageError(f"--from {getattr(args, 'from')} not found in the data")
-    at = index[start]
     n_past = model.hp.n_past
     if at < n_past:
         raise UsageError(
             f"--from needs at least {n_past} preceding observations, found {at}")
-    window, meta, next_ts = window_from_records(
-        target.records[at - n_past:at], normalizer, args.carrier)
+    window, meta, next_ts = window_from_records(target, at, n_past, normalizer)
     [steps] = rollout(model, window[None], meta[None], [next_ts], [args.carrier],
                       args.horizon)
     forecast_to_csv(steps, normalizer, args.out)
@@ -204,8 +197,8 @@ def cmd_eval(args) -> int:
                         args.plot_dir)
     report["metadata"]["model_hash"] = M.model_hash(model, cfg, normalizer)
     report["metadata"]["data_span"] = {
-        "start": min(str(s.records[0].timestamp) for s in series),
-        "end": max(str(s.records[-1].timestamp) for s in series),
+        "start": min(str(to_datetime(s.times[0])) for s in series),
+        "end": max(str(to_datetime(s.times[-1])) for s in series),
     }
     M.write_report(report, args.report)
     agg = report["aggregate"]

@@ -9,15 +9,15 @@ from __future__ import annotations
 
 import csv
 import logging
-import math
-from dataclasses import dataclass, field
-from datetime import datetime, timedelta, timezone
+from dataclasses import dataclass
+from datetime import datetime, timezone
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 log = logging.getLogger(__name__)
 
-STEP = timedelta(minutes=15)
+STEP = np.timedelta64(15, "m")
 N_CARRIERS = 21  # 3 sectors x 7 carriers
 
 FEATURE_NAMES = [
@@ -47,11 +47,11 @@ def residual_ratio(n_total: int, n_used: float) -> float:
 def parse_timestamp(text: str) -> datetime:
     try:
         ts = datetime.fromisoformat(text.replace("Z", "+00:00"))
-    except ValueError as e:
+        if ts.tzinfo is None:
+            ts = ts.replace(tzinfo=timezone.utc)
+        ts = ts.astimezone(timezone.utc)
+    except (ValueError, OverflowError) as e:
         raise IngestionError(f"malformed timestamp {text!r}: {e}") from None
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    ts = ts.astimezone(timezone.utc)
     if ts.minute % 15 != 0 or ts.second != 0 or ts.microsecond != 0:
         raise IngestionError(f"timestamp {text!r} not on the 15-minute grid")
     return ts
@@ -61,101 +61,106 @@ def format_timestamp(ts: datetime) -> str:
     return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-@dataclass
-class KpiRecord:
-    timestamp: datetime
-    carrier_id: int
-    prb_mean: float
-    prb_total: float
-    active_tti: float
-    prb_pdsch: float
-    prb_pucch: float
-    ue_max: float
-    ue_avg: float
-    dl_tput: float
-    residual_prb: float
+def to_datetime64(ts: datetime) -> np.datetime64:
+    """The instant of an aware datetime as datetime64[m]."""
+    return np.datetime64(int(ts.timestamp()) // 60, "m")
 
-    def validate(self):
-        for name in ALL_COLUMNS:
-            if not math.isfinite(getattr(self, name)):
-                raise IngestionError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.timestamp.minute % 15 != 0:
-            raise IngestionError(f"timestamp {self.timestamp} off the 15-minute grid")
-        if not 0 <= self.carrier_id < N_CARRIERS:
-            raise IngestionError(f"carrier_id {self.carrier_id} outside 0..{N_CARRIERS - 1}")
-        if not 0.0 <= self.residual_prb <= 1.0:
-            raise IngestionError(f"residual_prb {self.residual_prb} outside [0,1]")
-        for name in FEATURE_NAMES:
-            if getattr(self, name) < 0:
-                raise IngestionError(f"{name} must be nonnegative, got {getattr(self, name)}")
-        if self.ue_avg > self.ue_max:
-            raise IngestionError(f"ue_avg {self.ue_avg} exceeds ue_max {self.ue_max}")
 
-    def features(self) -> np.ndarray:
-        """All 9 features in column order, residual last."""
-        return np.array([getattr(self, c) for c in ALL_COLUMNS], dtype=np.float64)
+def to_datetime(t: np.datetime64) -> datetime:
+    """The aware UTC datetime of a datetime64 instant."""
+    return t.astype(datetime).replace(tzinfo=timezone.utc)
 
 
 @dataclass
 class KpiSeries:
+    """One carrier's KPI history: `times` is a (T,) datetime64[m] array on
+    the 15-minute grid, `values` the matching (T, 9) float64 features in
+    column order, residual last."""
     carrier_id: int
-    records: list[KpiRecord] = field(default_factory=list)
+    times: np.ndarray
+    values: np.ndarray
 
     def validate_grid(self):
-        for prev, cur in zip(self.records, self.records[1:]):
-            gap = cur.timestamp - prev.timestamp
-            if gap == timedelta(0):
-                raise IngestionError(
-                    f"carrier {self.carrier_id}: duplicate timestamp {prev.timestamp}")
-            if gap != STEP:
-                raise IngestionError(
-                    f"carrier {self.carrier_id}: gap in 15-minute grid between "
-                    f"{format_timestamp(prev.timestamp)} and {format_timestamp(cur.timestamp)}")
-
-    def feature_matrix(self) -> np.ndarray:
-        return np.stack([r.features() for r in self.records]) if self.records \
-            else np.zeros((0, N_FEATURES))
+        bad = np.flatnonzero(np.diff(self.times) != STEP)
+        if bad.size == 0:
+            return
+        prev, cur = (to_datetime(t) for t in self.times[bad[0]:bad[0] + 2])
+        if prev == cur:
+            raise IngestionError(
+                f"carrier {self.carrier_id}: duplicate timestamp {prev}")
+        raise IngestionError(
+            f"carrier {self.carrier_id}: gap in 15-minute grid between "
+            f"{format_timestamp(prev)} and {format_timestamp(cur)}")
 
     def __len__(self):
-        return len(self.records)
+        return len(self.times)
 
 
-def calendar_indices(ts: datetime, carrier_id: int) -> tuple[int, int, int, int, int]:
-    """(month 0..11, weekday 0..6 Monday=0, hour 0..23, minute slot 0..3, carrier)."""
-    if ts.minute % 15 != 0:
-        raise ValueError(f"timestamp {ts} not aligned to the 15-minute grid")
-    return ts.month - 1, ts.weekday(), ts.hour, ts.minute // 15, carrier_id
+def calendar_meta(times, carrier_id) -> np.ndarray:
+    """Calendar rows (month 0..11, weekday 0..6 Monday=0, hour 0..23, minute
+    slot 0..3, carrier) for datetime64 instants of any shape; `carrier_id`
+    broadcasts against `times`. Returns int64 of shape times.shape + (5,)."""
+    times = np.asarray(times, dtype="datetime64[m]")
+    minutes = times.astype(np.int64)  # since 1970-01-01T00:00, a Thursday
+    if np.any(minutes % 15):
+        bad = times[minutes % 15 != 0].flat[0]
+        raise ValueError(f"timestamp {bad} not aligned to the 15-minute grid")
+    months = times.astype("datetime64[M]").astype(np.int64)
+    columns = np.broadcast_arrays(months % 12, (minutes // 1440 + 3) % 7,
+                                  minutes // 60 % 24, minutes % 60 // 15,
+                                  np.asarray(carrier_id, dtype=np.int64))
+    return np.stack(columns, axis=-1)
 
 
 def load_csv(path: str) -> list[KpiSeries]:
     """Load and validate a KPI CSV; returns one series per carrier,
-    carrier_id ascending, records time-ordered on a gapless grid."""
-    by_carrier: dict[int, list[KpiRecord]] = {}
+    carrier_id ascending, time-ordered on a gapless grid. A rejected row is
+    named by its `path:line:`, a gap or duplicate by carrier and instant."""
+    stamps, carriers, cells = [], [], []
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if header != CSV_HEADER:
-            raise IngestionError(f"bad CSV header in {path}: {header}")
+            raise IngestionError(f"{path}:1: bad CSV header: {header}")
         for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(CSV_HEADER) or any(cell == "" for cell in row):
+            if len(row) != len(CSV_HEADER) or "" in row:
                 raise IngestionError(f"{path}:{lineno}: missing field")
-            ts = parse_timestamp(row[0])
             try:
-                carrier = int(row[1])
-                values = [float(v) for v in row[2:]]
+                stamps.append(to_datetime64(parse_timestamp(row[0])))
+                carriers.append(int(row[1]))
+                cells.extend(map(float, row[2:]))
             except ValueError as e:
                 raise IngestionError(f"{path}:{lineno}: {e}") from None
-            rec = KpiRecord(ts, carrier, *values)
-            try:
-                rec.validate()
-            except IngestionError as e:
-                raise IngestionError(f"{path}:{lineno}: {e}") from None
-            by_carrier.setdefault(carrier, []).append(rec)
 
+    def reject(bad: np.ndarray, message):
+        """Raise for the first row of `bad` (row-major), naming its line."""
+        if bad.any():
+            row, *col = np.unravel_index(np.argmax(bad), bad.shape)
+            raise IngestionError(f"{path}:{row + 2}: {message(row, *col)}")
+
+    values = np.array(cells, dtype=np.float64).reshape(-1, N_FEATURES)
+    carrier_ids = np.array(carriers)  # object dtype if an id overflows int64
+    reject(~np.isfinite(values),
+           lambda r, c: f"{ALL_COLUMNS[c]} must be finite, got {values[r, c]}")
+    reject((carrier_ids < 0) | (carrier_ids >= N_CARRIERS),
+           lambda r: f"carrier_id {carrier_ids[r]} outside 0..{N_CARRIERS - 1}")
+    residual = values[:, -1]
+    reject((residual < 0.0) | (residual > 1.0),
+           lambda r: f"residual_prb {residual[r]} outside [0,1]")
+    reject(values[:, :N_DET_FEATURES] < 0,
+           lambda r, c: f"{FEATURE_NAMES[c]} must be nonnegative, got {values[r, c]}")
+    ue_max = values[:, FEATURE_NAMES.index("ue_max")]
+    ue_avg = values[:, FEATURE_NAMES.index("ue_avg")]
+    reject(ue_avg > ue_max, lambda r: f"ue_avg {ue_avg[r]} exceeds ue_max {ue_max[r]}")
+
+    times = np.array(stamps, dtype="datetime64[m]")
+    carrier_ids = carrier_ids.astype(np.int64)
+    order = np.lexsort((times, carrier_ids))
+    times, values, carrier_ids = times[order], values[order], carrier_ids[order]
+    ids, starts = np.unique(carrier_ids, return_index=True)
     out = []
-    for carrier in sorted(by_carrier):
-        records = sorted(by_carrier[carrier], key=lambda r: r.timestamp)
-        series = KpiSeries(carrier, records)
+    for carrier, lo, hi in zip(ids.tolist(), starts, [*starts[1:], len(order)]):
+        series = KpiSeries(carrier, times[lo:hi], values[lo:hi])
         series.validate_grid()
         out.append(series)
     return out
@@ -168,11 +173,10 @@ def save_csv(series_list: list[KpiSeries], path: str) -> int:
         writer = csv.writer(f)
         writer.writerow(CSV_HEADER)
         for series in sorted(series_list, key=lambda s: s.carrier_id):
-            for r in series.records:
-                writer.writerow(
-                    [format_timestamp(r.timestamp), r.carrier_id]
-                    + [f"{getattr(r, c):.6f}" for c in ALL_COLUMNS])
-                rows += 1
+            stamps = np.datetime_as_string(series.times, unit="s")
+            writer.writerows([f"{stamp}Z", series.carrier_id] + [f"{v:.6f}" for v in row]
+                             for stamp, row in zip(stamps, series.values.tolist()))
+            rows += len(series)
     return rows
 
 
@@ -181,7 +185,8 @@ def chronological_split(series_list: list[KpiSeries],
     """Split every carrier at the same cut instants.
 
     `parts` is either (train_frac, val_frac, test_frac) summing to <= 1, or
-    (train_steps, val_steps, test_steps) as integers.
+    (train_steps, val_steps, test_steps) as integers. The test part may be
+    empty.
     """
     if not series_list:
         raise ValueError("no series to split")
@@ -192,12 +197,13 @@ def chronological_split(series_list: list[KpiSeries],
         n_test = n - n_train - n_val if a + b + c >= 0.999 else int(n * c)
     else:
         n_train, n_val, n_test = int(a), int(b), int(c)
-    if n_train < 1 or n_val < 1 or n_test < 1 or n_train + n_val + n_test > n:
+    if n_train < 1 or n_val < 1 or n_test < 0 or n_train + n_val + n_test > n:
         raise ValueError(
             f"cannot split {n} steps into {n_train}/{n_val}/{n_test}")
 
     def cut(lo, hi):
-        return [KpiSeries(s.carrier_id, s.records[lo:hi]) for s in series_list]
+        return [KpiSeries(s.carrier_id, s.times[lo:hi], s.values[lo:hi])
+                for s in series_list]
 
     return (cut(0, n_train),
             cut(n_train, n_train + n_val),
@@ -217,7 +223,7 @@ class Normalizer:
 
     @classmethod
     def fit(cls, train_series: list[KpiSeries]) -> "Normalizer":
-        stacked = np.concatenate([s.feature_matrix() for s in train_series])
+        stacked = np.concatenate([s.values for s in train_series])
         if stacked.size == 0:
             raise ValueError("cannot fit a normalizer on empty training data")
         mins = stacked[:, :N_DET_FEATURES].min(axis=0)
@@ -256,49 +262,45 @@ class Normalizer:
                    maxs=np.asarray(d["maxs"], dtype=np.float64))
 
 
-@dataclass
-class TrainingSample:
-    """One (encoder window, decoder target block) pair for a single carrier.
-
-    Feature rows are normalized; meta rows are the five categorical indices
-    from `calendar_indices`, covering the contiguous N+M grid segment.
-    """
-    encoder_inputs: np.ndarray   # (N, 9) float32
-    encoder_meta: np.ndarray     # (N, 5) int
-    decoder_targets: np.ndarray  # (M, 9) float32
-    decoder_meta: np.ndarray     # (M, 5) int
+def sample_dtype(n_past: int, n_future: int) -> np.dtype:
+    """One (encoder window, decoder target block) pair for a single carrier:
+    normalized float32 features and the five int64 calendar indices of
+    `calendar_meta`, covering a contiguous N+M grid segment."""
+    return np.dtype([("enc_x", np.float32, (n_past, N_FEATURES)),
+                     ("enc_meta", np.int64, (n_past, 5)),
+                     ("targets", np.float32, (n_future, N_FEATURES)),
+                     ("dec_meta", np.int64, (n_future, 5))])
 
 
 def make_samples(series_list: list[KpiSeries], normalizer: Normalizer,
-                 n_past: int, n_future: int, stride: int = 1) -> list[TrainingSample]:
-    """Sliding-window samples per carrier, interleaved carrier-major then
-    time-major (carrier_id ascending) for deterministic batching."""
+                 n_past: int, n_future: int, stride: int = 1) -> np.ndarray:
+    """Sliding-window samples as one structured array of `sample_dtype`,
+    carrier-major then time-major (carrier_id ascending) for deterministic
+    batching."""
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    samples = []
     window = n_past + n_future
+    dtype = sample_dtype(n_past, n_future)
+    parts = []
     for series in sorted(series_list, key=lambda s: s.carrier_id):
         if len(series) < window:
             raise ValueError(
                 f"carrier {series.carrier_id}: series length {len(series)} "
                 f"shorter than N+M={window}")
-        feats = normalizer.apply(series.feature_matrix()).astype(np.float32)
-        meta = np.array(
-            [calendar_indices(r.timestamp, series.carrier_id) for r in series.records],
-            dtype=np.int64)
-        for start in range(0, len(series) - window + 1, stride):
-            mid = start + n_past
-            samples.append(TrainingSample(
-                encoder_inputs=feats[start:mid],
-                encoder_meta=meta[start:mid],
-                decoder_targets=feats[mid:mid + n_future],
-                decoder_meta=meta[mid:mid + n_future]))
-    return samples
+        feats = normalizer.apply(series.values).astype(np.float32)
+        meta = calendar_meta(series.times, series.carrier_id)
+        # (samples, window, columns) views, one row per window start
+        x = sliding_window_view(feats, window, axis=0)[::stride].swapaxes(1, 2)
+        m = sliding_window_view(meta, window, axis=0)[::stride].swapaxes(1, 2)
+        part = np.empty(len(x), dtype)
+        part["enc_x"], part["targets"] = x[:, :n_past], x[:, n_past:]
+        part["enc_meta"], part["dec_meta"] = m[:, :n_past], m[:, n_past:]
+        parts.append(part)
+    return np.concatenate(parts) if parts else np.empty(0, dtype)
 
 
-def batch_samples(samples: list[TrainingSample]):
-    """Stack samples into batched arrays (enc_x, enc_meta, targets, dec_meta)."""
-    return (np.stack([s.encoder_inputs for s in samples]),
-            np.stack([s.encoder_meta for s in samples]),
-            np.stack([s.decoder_targets for s in samples]),
-            np.stack([s.decoder_meta for s in samples]))
+def batch_samples(samples):
+    """Contiguous batched arrays (enc_x, enc_meta, targets, dec_meta) from
+    a sample array or a list of its records."""
+    batch = np.asarray(samples, dtype=samples[0].dtype)
+    return tuple(np.ascontiguousarray(batch[name]) for name in batch.dtype.names)

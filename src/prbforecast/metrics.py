@@ -77,9 +77,8 @@ def evaluate(model: ForecastModel, normalizer: Normalizer,
         raise ValueError("no series to evaluate")
     anchors = [anchor_positions(len(s), hp.n_past, horizon, n_anchors)
                for s in series_list]
-    rows = [window_from_records(s.records[a - hp.n_past:a], normalizer, s.carrier_id)
-            + (s.carrier_id,) for s, anchor_list in zip(series_list, anchors)
-            for a in anchor_list]
+    rows = [window_from_records(s, a, hp.n_past, normalizer) + (s.carrier_id,)
+            for s, anchor_list in zip(series_list, anchors) for a in anchor_list]
     windows, metas, next_ts, carriers = zip(*rows)
     forecasts = iter(rollout(model, np.stack(windows), np.stack(metas), next_ts,
                              carriers, horizon))
@@ -87,7 +86,7 @@ def evaluate(model: ForecastModel, normalizer: Normalizer,
         os.makedirs(plot_dir, exist_ok=True)
     per_carrier = []
     for series, anchor_list in zip(series_list, anchors):
-        residuals = np.array([r.residual_prb for r in series.records])
+        residuals = series.values[:, -1]
         maes, stds, hits = [], [], []
         for a in anchor_list:
             steps = next(forecasts)

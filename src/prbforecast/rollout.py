@@ -16,8 +16,8 @@ from datetime import datetime
 
 import numpy as np
 
-from .data import (FEATURE_NAMES, N_FEATURES, STEP, Normalizer,
-                   calendar_indices, format_timestamp)
+from .data import (FEATURE_NAMES, N_FEATURES, STEP, KpiSeries, Normalizer,
+                   calendar_meta, format_timestamp, to_datetime, to_datetime64)
 from .model import ForecastModel
 
 
@@ -49,10 +49,9 @@ def rollout(model: ForecastModel, windows: np.ndarray, metas: np.ndarray,
         raise ValueError(f"need B >= 1 windows of shape ({hp.n_past}, {N_FEATURES}) with "
                          f"as many metas, timestamps and carriers, got {windows.shape}")
     n_blocks = -(-horizon // m)
-    times = [[ts + i * STEP for i in range(n_blocks * m)] for ts in next_timestamps]
-    future_meta = np.array(
-        [[calendar_indices(ts, c) for ts in row] for row, c in zip(times, carrier_ids)],
-        dtype=np.int64)
+    starts = np.array([to_datetime64(ts) for ts in next_timestamps])
+    times = starts[:, None] + np.arange(n_blocks * m) * STEP  # (B, n_blocks * M)
+    future_meta = calendar_meta(times, np.asarray(carrier_ids)[:, None])
     dets, quants = [], []
     for b in range(n_blocks):
         dec_meta = future_meta[:, b * m:(b + 1) * m]
@@ -64,20 +63,21 @@ def rollout(model: ForecastModel, windows: np.ndarray, metas: np.ndarray,
         metas = np.concatenate([metas[:, m:], dec_meta], axis=1)
         dets.append(out.det)          # (B, M, 8)
         quants.append(out.quantiles)  # (B, M, 3), sorted + clipped
-    return [[ForecastStep(timestamp=ts, carrier_id=c, q10=float(q[i, 0]),
-                          q50=float(q[i, 1]), q90=float(q[i, 2]), det=d[i].copy())
+    return [[ForecastStep(timestamp=to_datetime(ts), carrier_id=c,
+                          q10=float(q[i, 0]), q50=float(q[i, 1]), q90=float(q[i, 2]),
+                          det=d[i].copy())
              for i, ts in enumerate(row[:horizon])]
             for row, c, d, q in zip(times, carrier_ids, np.concatenate(dets, axis=1),
                                     np.concatenate(quants, axis=1))]
 
 
-def window_from_records(records, normalizer: Normalizer, carrier_id: int):
-    """Build (window, meta, next_timestamp) from the N most recent records."""
-    feats = np.stack([r.features() for r in records])
-    window = normalizer.apply(feats).astype(np.float32)
-    meta = np.array([calendar_indices(r.timestamp, carrier_id) for r in records],
-                    dtype=np.int64)
-    return window, meta, records[-1].timestamp + STEP
+def window_from_records(series: KpiSeries, at: int, n_past: int,
+                        normalizer: Normalizer):
+    """(window, meta, next_timestamp) from the `n_past` observations of
+    `series` before index `at`."""
+    window = normalizer.apply(series.values[at - n_past:at]).astype(np.float32)
+    meta = calendar_meta(series.times[at - n_past:at], series.carrier_id)
+    return window, meta, to_datetime(series.times[at - 1] + STEP)
 
 
 def forecast_to_csv(forecasts: list[ForecastStep], normalizer: Normalizer,

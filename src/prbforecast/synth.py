@@ -15,7 +15,8 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from .data import KpiRecord, KpiSeries, N_CARRIERS, residual_ratio
+from .data import (N_CARRIERS, N_FEATURES, STEP, KpiSeries, residual_ratio,
+                   to_datetime64)
 
 DEFAULT_START = datetime(2024, 1, 1, tzinfo=timezone.utc)  # a Monday
 STEPS_PER_DAY = 96
@@ -91,10 +92,10 @@ def diurnal_load(profile: CarrierProfile, ts: datetime) -> float:
 def _generate_one(profile: CarrierProfile, start: datetime, n_steps: int,
                   seed: int) -> KpiSeries:
     rng = np.random.default_rng(seed ^ profile.carrier_id)
-    records = []
+    values = np.empty((n_steps, N_FEATURES))
     burst_left = 0
     ts = start
-    for _ in range(n_steps):
+    for i in range(n_steps):
         eps = rng.normal(0.0, profile.noise_sigma) if profile.noise_sigma > 0 else 0.0
         load = diurnal_load(profile, ts) + eps
         if burst_left > 0:
@@ -110,23 +111,20 @@ def _generate_one(profile: CarrierProfile, start: datetime, n_steps: int,
         ue_noise = rng.normal(0.0, 1.0)
         ue_avg = max(40.0 * load * (1.0 + 0.1 * ue_noise), 0.0)
         ue_max = math.ceil(1.5 * ue_avg)
-        records.append(KpiRecord(
-            timestamp=ts,
-            carrier_id=profile.carrier_id,
-            prb_mean=max(load * profile.n_prb_total * (1 + 0.02 * rng.normal()), 0.0),
-            prb_total=float(profile.n_prb_total),
-            active_tti=max(9.0e5 * load * (1 + 0.05 * rng.normal()), 0.0),
-            prb_pdsch=max(0.8 * n_used * (1 + 0.03 * rng.normal()), 0.0),
-            prb_pucch=max(0.1 * n_used * (1 + 0.03 * rng.normal()), 0.0),
-            ue_max=float(ue_max),
-            ue_avg=ue_avg,
-            dl_tput=max(0.36 * n_used * (1 + 0.05 * rng.normal()), 0.0),
-            residual_prb=residual,
-        ))
+        values[i] = (
+            max(load * profile.n_prb_total * (1 + 0.02 * rng.normal()), 0.0),  # prb_mean
+            profile.n_prb_total,                                      # prb_total
+            max(9.0e5 * load * (1 + 0.05 * rng.normal()), 0.0),       # active_tti
+            max(0.8 * n_used * (1 + 0.03 * rng.normal()), 0.0),       # prb_pdsch
+            max(0.1 * n_used * (1 + 0.03 * rng.normal()), 0.0),       # prb_pucch
+            ue_max,                                                   # ue_max
+            ue_avg,                                                   # ue_avg
+            max(0.36 * n_used * (1 + 0.05 * rng.normal()), 0.0),      # dl_tput
+            residual,                                                 # residual_prb
+        )
         ts = ts + timedelta(minutes=15)
-    series = KpiSeries(profile.carrier_id, records)
-    series.validate_grid()
-    return series
+    times = to_datetime64(start) + np.arange(n_steps) * STEP
+    return KpiSeries(profile.carrier_id, times, values)
 
 
 def generate(profiles: list[CarrierProfile], start: datetime = DEFAULT_START,

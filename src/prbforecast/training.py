@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import Normalizer, TrainingSample, batch_samples
+from .data import Normalizer, batch_samples
 from .model import ForecastModel, Hyperparams
 from .tensor import Tensor
 
@@ -155,7 +155,7 @@ def clip_gradients(params: list[Tensor], max_norm: float = 1.0) -> float:
 
 # -- epoch loop -----------------------------------------------------------
 
-def _evaluate_loss(model: ForecastModel, samples: list[TrainingSample],
+def _evaluate_loss(model: ForecastModel, samples: np.ndarray,
                    cfg: TrainConfig, batch_size: int) -> float:
     """Teacher-forced loss with dropout off, averaged over samples."""
     total = 0.0
@@ -171,11 +171,11 @@ def _evaluate_loss(model: ForecastModel, samples: list[TrainingSample],
     return total / len(samples)
 
 
-def train(train_samples: list[TrainingSample], val_samples: list[TrainingSample],
+def train(train_samples: np.ndarray, val_samples: np.ndarray,
           hp: Hyperparams, cfg: TrainConfig) -> tuple[ForecastModel, list[dict]]:
     """Train a fresh model; returns (model with best-validation parameters,
     per-epoch history). Fully determined by (samples, hp, cfg)."""
-    if not train_samples or not val_samples:
+    if len(train_samples) == 0 or len(val_samples) == 0:
         raise ValueError("training and validation splits must be nonempty")
     cfg.validate()
     T.seed_all(cfg.seed)
@@ -192,8 +192,8 @@ def train(train_samples: list[TrainingSample], val_samples: list[TrainingSample]
         order = np.random.default_rng((cfg.seed, epoch)).permutation(len(train_samples))
         epoch_losses = []
         for start in range(0, len(order), cfg.batch_size):
-            batch = [train_samples[i] for i in order[start:start + cfg.batch_size]]
-            enc_x, enc_meta, targets, dec_meta = batch_samples(batch)
+            enc_x, enc_meta, targets, dec_meta = batch_samples(
+                train_samples[order[start:start + cfg.batch_size]])
             model.zero_grads()
             try:
                 det, quant = model.forward_training(enc_x, enc_meta, targets,
@@ -209,7 +209,7 @@ def train(train_samples: list[TrainingSample], val_samples: list[TrainingSample]
                 raise
             clip_gradients(params, cfg.clip_norm)
             adam_step(params, state, cfg.lr, weight_decay=cfg.weight_decay)
-            epoch_losses.append(value * len(batch))
+            epoch_losses.append(value * len(targets))
         train_loss = sum(epoch_losses) / len(train_samples)
         val_loss = _evaluate_loss(model, val_samples, cfg, cfg.batch_size)
         if not np.isfinite(val_loss):

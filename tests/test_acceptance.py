@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from prbforecast import tensor as T
-from prbforecast.data import (Normalizer, calendar_indices, chronological_split,
-                              make_samples)
+from prbforecast.data import (Normalizer, calendar_meta, chronological_split,
+                              make_samples, to_datetime64)
 from prbforecast.embedding import embed_tokens
 from prbforecast.metrics import (anchor_positions, evaluate, hit_probability,
                                  mae)
@@ -145,7 +145,7 @@ def test_criterion_4_rollout_invariants_week_horizon():
     start = datetime(2024, 3, 4, tzinfo=timezone.utc)
     times = [start - (hp.n_past - i) * timedelta(minutes=15)
              for i in range(hp.n_past)]
-    meta = np.array([calendar_indices(t, 2) for t in times], dtype=np.int64)
+    meta = calendar_meta([to_datetime64(t) for t in times], 2)
 
     steps = rollout(model, window[None], meta[None], [start], [2], 672)[0]
     short = rollout(model, window[None], meta[None], [start], [2], 96)[0]
@@ -197,8 +197,8 @@ def test_criterion_5_desk_scale_learning():
     for s in test_s:
         errs = []
         for a in anchor_positions(len(s), hp.n_past, 96, 4):
-            last = s.records[a - 1].residual_prb
-            truth = [r.residual_prb for r in s.records[a:a + 96]]
+            last = s.values[a - 1, -1]
+            truth = s.values[a:a + 96, -1]
             errs.append(mae(truth, [last] * 96))
         base_maes.append(float(np.mean(errs)))
     base_median = float(np.median(base_maes))
@@ -249,11 +249,9 @@ def test_criterion_7_determinism_and_checkpoint_roundtrip(tmp_path):
     save_checkpoint(path, m1, cfg, norm)
     loaded, _, norm2 = load_checkpoint(path)
     s = train_s[0]
-    window, meta, next_ts = window_from_records(
-        s.records[:hp.n_past], norm, s.carrier_id)
+    window, meta, next_ts = window_from_records(s, hp.n_past, hp.n_past, norm)
     a = rollout(m1, window[None], meta[None], [next_ts], [s.carrier_id], 24)[0]
-    window, meta, next_ts = window_from_records(
-        s.records[:hp.n_past], norm2, s.carrier_id)
+    window, meta, next_ts = window_from_records(s, hp.n_past, hp.n_past, norm2)
     b = rollout(loaded, window[None], meta[None], [next_ts], [s.carrier_id], 24)[0]
     ok = ok and all(x.q10 == y.q10 and x.q50 == y.q50 and x.q90 == y.q90
                     and np.array_equal(x.det, y.det) for x, y in zip(a, b))

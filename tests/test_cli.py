@@ -107,6 +107,17 @@ class TestTrain:
                      "--config", str(config),
                      "--out", str(tmp_path / "m.rupf")]) == 1
 
+    def test_zero_test_days_keeps_the_validation_span(self, workspace, tmp_path):
+        # no test span: validation still gets exactly val_days, not the rest
+        config = tmp_path / "no_test.json"
+        split = {"train_days": 2, "val_days": 1, "test_days": 0}
+        config.write_text(json.dumps({**TINY_CONFIG, "split": split}))
+        history = tmp_path / "history.jsonl"
+        assert main(["train", "--data", str(workspace["data"]),
+                     "--config", str(config), "--out", str(tmp_path / "m.rupf"),
+                     "--history", str(history)]) == 0
+        assert history.read_text() == workspace["history"].read_text()
+
     def test_unknown_config_key_is_usage_error(self, workspace, tmp_path):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({"hyperparams": {"d_embedding": 4}}))

@@ -1,34 +1,39 @@
 import random
-from datetime import datetime, timedelta, timezone
+import re
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 
 from prbforecast import data as D
-from prbforecast.data import (IngestionError, KpiRecord, KpiSeries, Normalizer,
-                              calendar_indices, chronological_split, load_csv,
-                              make_samples, residual_ratio, save_csv)
+from prbforecast.data import (STEP, IngestionError, KpiSeries, Normalizer,
+                              calendar_meta, chronological_split, load_csv,
+                              make_samples, residual_ratio, save_csv,
+                              to_datetime, to_datetime64)
 
 UTC = timezone.utc
 
-
-def make_record(ts, carrier=0, residual=0.5):
-    return KpiRecord(timestamp=ts, carrier_id=carrier, prb_mean=10.0,
-                     prb_total=100.0, active_tti=5000.0, prb_pdsch=8.0,
-                     prb_pucch=1.0, ue_max=30.0, ue_avg=20.0, dl_tput=15.0,
-                     residual_prb=residual)
+# one row in FEATURE_NAMES order, residual last
+ROW = [10.0, 100.0, 5000.0, 8.0, 1.0, 30.0, 20.0, 15.0, 0.5]
 
 
 def make_series(n, carrier=0, start=None):
     start = start or datetime(2024, 3, 4, tzinfo=UTC)
-    records = []
-    for i in range(n):
-        r = make_record(start + i * timedelta(minutes=15), carrier,
-                        residual=0.5 + 0.4 * np.sin(i / 10))
-        r.prb_mean = 10.0 + i % 7
-        r.dl_tput = 15.0 + (i % 5)
-        records.append(r)
-    return KpiSeries(carrier, records)
+    i = np.arange(n)
+    values = np.tile(ROW, (n, 1))
+    values[:, 0] = 10.0 + i % 7                # prb_mean
+    values[:, 7] = 15.0 + i % 5                # dl_tput
+    values[:, 8] = 0.5 + 0.4 * np.sin(i / 10)  # residual_prb
+    return KpiSeries(carrier, to_datetime64(start) + i * STEP, values)
+
+
+def meta_of(ts, carrier_id):
+    return tuple(calendar_meta(to_datetime64(ts), carrier_id).tolist())
+
+
+def calendar_oracle(ts, carrier_id):
+    """The calendar row of one aware UTC datetime, from `datetime` fields."""
+    return ts.month - 1, ts.weekday(), ts.hour, ts.minute // 15, carrier_id
 
 
 class TestResidualRatio:
@@ -53,19 +58,27 @@ class TestCalendarIndices:
         # 2024-03-04 is a Monday (calendar oracle: datetime.weekday)
         ts = datetime(2024, 3, 4, 10, 45, tzinfo=UTC)
         assert ts.weekday() == 0
-        assert calendar_indices(ts, 5) == (2, 0, 10, 3, 5)
+        assert meta_of(ts, 5) == (2, 0, 10, 3, 5)
 
     def test_minute_zero_is_slot_zero(self):
         ts = datetime(2024, 6, 1, 8, 0, tzinfo=UTC)
-        assert calendar_indices(ts, 0)[3] == 0
+        assert meta_of(ts, 0)[3] == 0
 
     def test_december_is_month_eleven(self):
         ts = datetime(2024, 12, 25, 0, 0, tzinfo=UTC)
-        assert calendar_indices(ts, 0)[0] == 11
+        assert meta_of(ts, 0)[0] == 11
 
     def test_unaligned_minute_rejected(self):
         with pytest.raises(ValueError):
-            calendar_indices(datetime(2024, 3, 4, 10, 7, tzinfo=UTC), 0)
+            calendar_meta(np.datetime64("2024-03-04T10:07"), 0)
+
+    @pytest.mark.parametrize("carrier", [0, 20])
+    def test_matches_datetime_oracle_over_2024_and_the_year_end(self, carrier):
+        # every step of leap year 2024 (29 February included) and into 2025
+        times = np.arange(np.datetime64("2024-01-01T00:00"),
+                          np.datetime64("2025-01-02T00:00"), STEP)
+        expected = [calendar_oracle(to_datetime(t), carrier) for t in times]
+        assert calendar_meta(times, carrier).tolist() == [list(e) for e in expected]
 
 
 class TestCsvRoundtrip:
@@ -88,20 +101,20 @@ class TestCsvRoundtrip:
         b = load_csv(str(shuffled))
         for sa, sb in zip(a, b):
             assert sa.carrier_id == sb.carrier_id
-            assert [r.timestamp for r in sa.records] == [r.timestamp for r in sb.records]
-            np.testing.assert_array_equal(sa.feature_matrix(), sb.feature_matrix())
+            assert sa.times.tolist() == sb.times.tolist()
+            np.testing.assert_array_equal(sa.values, sb.values)
 
     def test_duplicate_timestamp_rejected(self, tmp_path):
-        series = make_series(10)
-        series.records.append(make_record(series.records[-1].timestamp))
+        s = make_series(10)
+        series = KpiSeries(0, np.append(s.times, s.times[-1]), np.vstack([s.values, ROW]))
         path = tmp_path / "dup.csv"
         save_csv([series], str(path))
         with pytest.raises(IngestionError, match="duplicate"):
             load_csv(str(path))
 
     def test_grid_gap_names_first_gap(self, tmp_path):
-        series = make_series(10)
-        del series.records[4]
+        s = make_series(10)
+        series = KpiSeries(0, np.delete(s.times, 4), np.delete(s.values, 4, axis=0))
         path = tmp_path / "gap.csv"
         save_csv([series], str(path))
         with pytest.raises(IngestionError, match="gap.*2024-03-04T00:45:00Z"):
@@ -148,6 +161,33 @@ class TestCsvRoundtrip:
         with pytest.raises(IngestionError, match=r":4: prb_mean must be finite"):
             load_csv(str(path))
 
+    @pytest.mark.parametrize("column, value, message", [
+        (2, "-1.0", "prb_mean must be nonnegative, got -1.0"),
+        (8, "31.0", "ue_avg 31.0 exceeds ue_max 30.0"),
+        (0, "2024-03-04T25:00:00Z", "malformed timestamp '2024-03-04T25:00:00Z'"),
+        (0, "2024-03-04T00:37:00Z", "timestamp '2024-03-04T00:37:00Z' not on the 15-minute grid"),
+        (0, "9999-12-31T23:45:00-01:00", "malformed timestamp '9999-12-31T23:45:00-01:00'"),
+        (5, "eight", "could not convert string to float: 'eight'"),
+    ], ids=["negative_feature", "ue_avg_above_ue_max", "malformed_timestamp",
+            "off_grid_timestamp", "timestamp_beyond_year_9999", "non_numeric_value"])
+    def test_bad_value_names_path_and_line(self, tmp_path, column, value, message):
+        path = tmp_path / "bad.csv"
+        save_csv([make_series(5)], str(path))
+        lines = path.read_text().splitlines()
+        parts = lines[3].split(",")
+        parts[column] = value
+        lines[3] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(IngestionError, match=re.escape(f"{path}:4: {message}")):
+            load_csv(str(path))
+
+    def test_bad_header_names_path_and_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        save_csv([make_series(5)], str(path))
+        path.write_text(path.read_text().replace("ue_max", "ue_peak", 1))
+        with pytest.raises(IngestionError, match=re.escape(f"{path}:1: bad CSV header")):
+            load_csv(str(path))
+
 
 class TestSplit:
     def test_80_10_10(self):
@@ -159,22 +199,22 @@ class TestSplit:
 
     def test_val_precedes_test_per_carrier(self):
         train, val, test = chronological_split([make_series(100)], (60, 20, 20))
-        assert train[0].records[-1].timestamp < val[0].records[0].timestamp
-        assert val[0].records[-1].timestamp < test[0].records[0].timestamp
+        assert train[0].times[-1] < val[0].times[0]
+        assert val[0].times[-1] < test[0].times[0]
 
     def test_no_window_crosses_split_boundary(self):
         n_past, n_future = 4, 2
         series = [make_series(60)]
         train, val, test = chronological_split(series, (40, 10, 10))
         norm = Normalizer.fit(train)
-        train_ts = {r.timestamp for r in train[0].records}
+        train_ts = set(train[0].times.tolist())
         for part in (val, test):
             samples = make_samples(part, norm, n_past, n_future)
-            part_ts = {r.timestamp for r in part[0].records}
+            part_ts = set(part[0].times.tolist())
             # brute-force boundary enumeration: all sample instants stay inside
-            feats = norm.apply(part[0].feature_matrix()).astype(np.float32)
+            feats = norm.apply(part[0].values).astype(np.float32)
             for i, s in enumerate(samples):
-                np.testing.assert_array_equal(s.encoder_inputs, feats[i:i + n_past])
+                np.testing.assert_array_equal(s["enc_x"], feats[i:i + n_past])
             assert part_ts.isdisjoint(train_ts)
 
     def test_insufficient_length(self):
@@ -184,43 +224,41 @@ class TestSplit:
 
 class TestNormalizer:
     def test_midpoint_maps_to_half(self):
-        records = [make_record(datetime(2024, 1, 1, tzinfo=UTC) + i * timedelta(minutes=15))
-                   for i in range(2)]
-        records[0].prb_mean, records[1].prb_mean = 10.0, 20.0
-        norm = Normalizer.fit([KpiSeries(0, records)])
-        feats = records[0].features()
+        series = make_series(2, start=datetime(2024, 1, 1, tzinfo=UTC))
+        series.values[0, 0], series.values[1, 0] = 10.0, 20.0
+        norm = Normalizer.fit([series])
+        feats = series.values[0].copy()
         feats[0] = 15.0
         assert norm.apply(feats)[0] == pytest.approx(0.5)
 
     def test_roundtrip_within_1e6(self):
         series = make_series(50)
         norm = Normalizer.fit([series])
-        feats = series.feature_matrix()
+        feats = series.values
         back = norm.invert(norm.apply(feats))
         np.testing.assert_allclose(back[:, :8], feats[:, :8], atol=1e-6)
 
     def test_out_of_range_clipped(self):
         series = make_series(50)
         norm = Normalizer.fit([series])
-        feats = series.records[0].features()
+        feats = series.values[0].copy()
         feats[0] = norm.maxs[0] + 5.0
         assert norm.apply(feats)[0] == 1.0
 
     def test_residual_passes_through(self):
         series = make_series(50)
         norm = Normalizer.fit([series])
-        feats = series.records[0].features()
+        feats = series.values[0].copy()
         assert norm.apply(feats)[-1] == feats[-1]
 
     def test_constant_feature_maps_to_zero_with_warning(self, caplog):
         series = make_series(10)
-        for r in series.records:
-            r.prb_total = 100.0
+        series.values[:, 1] = 100.0  # prb_total
         import logging
         with caplog.at_level(logging.WARNING, logger="prbforecast.data"):
             norm = Normalizer.fit([series])
         assert any("constant" in m for m in caplog.messages)
-        assert norm.apply(series.records[0].features())[1] == 0.0
+        assert norm.apply(series.values[0])[1] == 0.0
 
 
 class TestMakeSamples:
@@ -236,24 +274,24 @@ class TestMakeSamples:
         norm = Normalizer.fit([series])
         samples = make_samples([series], norm, 4, 2)
         assert len(samples) == 1
-        feats = norm.apply(series.feature_matrix()).astype(np.float32)
-        np.testing.assert_array_equal(samples[0].encoder_inputs, feats[:4])
-        np.testing.assert_array_equal(samples[0].decoder_targets, feats[4:6])
+        feats = norm.apply(series.values).astype(np.float32)
+        np.testing.assert_array_equal(samples[0]["enc_x"], feats[:4])
+        np.testing.assert_array_equal(samples[0]["targets"], feats[4:6])
 
     def test_decoder_meta_follows_grid(self):
         series = make_series(10)
         norm = Normalizer.fit([series])
         s = make_samples([series], norm, 4, 2)[0]
-        expected = [calendar_indices(series.records[4 + i].timestamp, 0)
+        expected = [calendar_oracle(to_datetime(series.times[4 + i]), 0)
                     for i in range(2)]
-        assert s.decoder_meta.tolist() == [list(e) for e in expected]
+        assert s["dec_meta"].tolist() == [list(e) for e in expected]
 
     def test_meta_is_contiguous_grid_segment(self):
         series = make_series(12)
         norm = Normalizer.fit([series])
         for s in make_samples([series], norm, 4, 2):
-            slots = np.concatenate([s.encoder_meta[:, 3], s.decoder_meta[:, 3]])
-            hours = np.concatenate([s.encoder_meta[:, 2], s.decoder_meta[:, 2]])
+            slots = np.concatenate([s["enc_meta"][:, 3], s["dec_meta"][:, 3]])
+            hours = np.concatenate([s["enc_meta"][:, 2], s["dec_meta"][:, 2]])
             combined = hours * 4 + slots
             np.testing.assert_array_equal(np.diff(combined) % 96, np.ones(5))
 

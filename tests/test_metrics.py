@@ -120,11 +120,10 @@ class TestEvaluate:
         report = evaluate(model, norm, series[:1], horizon=hp.n_future, n_anchors=1)
         from prbforecast.rollout import rollout, window_from_records
         s = series[0]
-        window, meta, next_ts = window_from_records(
-            s.records[:hp.n_past], norm, s.carrier_id)
+        window, meta, next_ts = window_from_records(s, hp.n_past, hp.n_past, norm)
         steps = rollout(model, window[None], meta[None], [next_ts], [s.carrier_id],
                         hp.n_future)[0]
-        truth = [r.residual_prb for r in s.records[hp.n_past:hp.n_past + hp.n_future]]
+        truth = s.values[hp.n_past:hp.n_past + hp.n_future, -1]
         assert report["per_carrier"][0]["mae"] == pytest.approx(
             mae(truth, [st.q50 for st in steps]), abs=1e-12)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from prbforecast import tensor as T
-from prbforecast.data import Normalizer
+from prbforecast.data import Normalizer, calendar_meta, to_datetime64
 from prbforecast.model import ForecastModel, Hyperparams
 from prbforecast.rollout import forecast_to_csv, rollout
 
@@ -25,8 +25,7 @@ def make_window(hp=TINY, seed=1):
     window = rng.random((hp.n_past, 9)).astype(np.float32)
     times = [START - (hp.n_past - i) * timedelta(minutes=15)
              for i in range(hp.n_past)]
-    from prbforecast.data import calendar_indices
-    meta = np.array([calendar_indices(t, 2) for t in times], dtype=np.int64)
+    meta = calendar_meta([to_datetime64(t) for t in times], 2)
     return window, meta
 
 
@@ -58,11 +57,10 @@ class TestRollout:
                                     fed1.astype(np.float32)])
         # a second block must be computed from exactly that window
         continued = rollout(model, window[None], meta[None], [START], [2], 4)[0]
-        from prbforecast.data import calendar_indices
         meta2 = np.concatenate([
             meta[2:],
-            np.array([calendar_indices(START, 2),
-                      calendar_indices(START + timedelta(minutes=15), 2)])])
+            calendar_meta([to_datetime64(START),
+                           to_datetime64(START + timedelta(minutes=15))], 2)])
         direct = rollout(model, expected_window[None], meta2[None],
                          [START + 2 * timedelta(minutes=15)], [2], 2)[0]
         for a, b in zip(continued[2:], direct):
@@ -112,7 +110,6 @@ class TestRollout:
             assert s.timestamp == START + i * timedelta(minutes=15)
 
     def test_batched_rows_equal_batch_of_one(self):
-        from prbforecast.data import calendar_indices
         model = make_model(seed=15)
         rows = []
         for b, (carrier, hours) in enumerate([(2, 0), (0, 7), (20, 29)]):
@@ -120,7 +117,7 @@ class TestRollout:
             window = np.random.default_rng(20 + b).random((TINY.n_past, 9))
             past = [start - (TINY.n_past - i) * timedelta(minutes=15)
                     for i in range(TINY.n_past)]
-            meta = np.array([calendar_indices(t, carrier) for t in past])
+            meta = calendar_meta([to_datetime64(t) for t in past], carrier)
             rows.append((window.astype(np.float32), meta, start, carrier))
         windows, metas, starts, carriers = zip(*rows)
         horizon = 7  # not a multiple of M=2

@@ -48,11 +48,11 @@ class TestGenerate:
         a = generate(profiles, n_days=2, seed=42)
         b = generate(profiles, n_days=2, seed=42)
         for sa, sb in zip(a, b):
-            np.testing.assert_array_equal(sa.feature_matrix(), sb.feature_matrix())
+            np.testing.assert_array_equal(sa.values, sb.values)
 
     def test_degenerate_profile_constant_residual(self):
         series = generate([flat_profile()], n_days=1, seed=0)[0]
-        residuals = np.array([r.residual_prb for r in series.records])
+        residuals = series.values[:, -1]
         np.testing.assert_allclose(residuals, 1.0 - 0.4, atol=1.0 / 100)
 
     def test_mean_residual_matches_sinusoid_quadrature(self):
@@ -60,7 +60,7 @@ class TestGenerate:
         # start Monday, 1 weekday so the weekend factor never engages
         series = generate([profile], start=datetime(2024, 1, 1, tzinfo=UTC),
                           n_days=1, seed=0)[0]
-        empirical = np.mean([r.residual_prb for r in series.records])
+        empirical = np.mean(series.values[:, -1])
         # quadrature oracle over the clipped sinusoid on a fine grid
         hours = np.linspace(0, 24, 100000, endpoint=False)
         load = np.clip(profile.base_load + profile.diurnal_amplitude
@@ -76,8 +76,8 @@ class TestGenerate:
         loaded = load_csv(str(path))
         assert [len(s) for s in loaded] == [192] * 4
         for s in loaded:
-            for r in s.records:
-                assert r.ue_avg <= r.ue_max
+            for ue_max, ue_avg in s.values[:, [5, 6]]:
+                assert ue_avg <= ue_max
 
     def test_diurnal_autocorrelation_dominates(self):
         profile = flat_profile(base_load=0.4, diurnal_amplitude=0.25,
@@ -85,7 +85,7 @@ class TestGenerate:
         # weekdays only so the weekly modulation does not blur the daily cycle
         series = generate([profile], start=datetime(2024, 1, 1, tzinfo=UTC),
                           n_days=4, seed=11)[0]
-        r = np.array([rec.residual_prb for rec in series.records])
+        r = series.values[:, -1].copy()
         r = r - r.mean()
 
         def autocorr(lag):
@@ -102,6 +102,6 @@ class TestGenerate:
         calm = generate([flat_profile()], n_days=7, seed=3)[0]
         bursty = generate([flat_profile(burst_probability=0.05, burst_depth=0.3)],
                           n_days=7, seed=3)[0]
-        mean_calm = np.mean([r.residual_prb for r in calm.records])
-        mean_bursty = np.mean([r.residual_prb for r in bursty.records])
+        mean_calm = np.mean(calm.values[:, -1])
+        mean_bursty = np.mean(bursty.values[:, -1])
         assert mean_bursty < mean_calm

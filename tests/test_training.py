@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from prbforecast import tensor as T
-from prbforecast.data import Normalizer, TrainingSample
+from prbforecast.data import Normalizer, sample_dtype
 from prbforecast.model import ForecastModel, Hyperparams
 from prbforecast.tensor import Tensor
 from prbforecast.training import (AdamState, CheckpointError, TrainConfig,
@@ -24,7 +24,7 @@ def scalar(v, grad=False):
 
 def make_samples(n, hp=TINY, seed=0):
     rng = np.random.default_rng(seed)
-    samples = []
+    samples = np.empty(n, sample_dtype(hp.n_past, hp.n_future))
     for i in range(n):
         meta = np.stack([
             rng.integers(0, 12, hp.n_past + hp.n_future),
@@ -33,11 +33,10 @@ def make_samples(n, hp=TINY, seed=0):
             rng.integers(0, 4, hp.n_past + hp.n_future),
             rng.integers(0, 21, hp.n_past + hp.n_future),
         ], axis=-1)
-        samples.append(TrainingSample(
-            encoder_inputs=rng.random((hp.n_past, 9)).astype(np.float32),
-            encoder_meta=meta[:hp.n_past],
-            decoder_targets=rng.random((hp.n_future, 9)).astype(np.float32),
-            decoder_meta=meta[hp.n_past:]))
+        samples[i] = (rng.random((hp.n_past, 9)).astype(np.float32),
+                      meta[:hp.n_past],
+                      rng.random((hp.n_future, 9)).astype(np.float32),
+                      meta[hp.n_past:])
     return samples
 
 
@@ -251,7 +250,7 @@ class TestTrainLoop:
 
     def test_non_finite_loss_leaves_tape_clean(self):
         samples = make_samples(8)
-        samples[3].decoder_targets[-1, -1] = np.nan  # scored, never fed back
+        samples["targets"][3, -1, -1] = np.nan  # scored, never fed back
         cfg = TrainConfig(epochs=1, batch_size=8, seed=1)
         with pytest.raises(TrainingError, match="non-finite training loss"):
             train(samples, make_samples(4, seed=1), TINY, cfg)
