@@ -172,19 +172,20 @@ def cmd_forecast(args) -> int:
     if args.carrier not in series:
         raise UsageError(f"carrier {args.carrier} not present in {args.data}")
     target = series[args.carrier]
-    start = parse_timestamp(getattr(args, "from"))
-    at = int((to_datetime64(start) - target.times[0]) // STEP)
-    if not 0 <= at < len(target):
+    start = to_datetime64(parse_timestamp(getattr(args, "from")))
+    at = int((start - target.times[0]) // STEP)
+    if not 0 <= at <= len(target):  # at == len: forecast from the end of the data
         raise UsageError(f"--from {getattr(args, 'from')} not found in the data")
     n_past = model.hp.n_past
     if at < n_past:
         raise UsageError(
             f"--from needs at least {n_past} preceding observations, found {at}")
     window, meta, next_ts = window_from_records(target, at, n_past, normalizer)
-    [steps] = rollout(model, window[None], meta[None], [next_ts], [args.carrier],
-                      args.horizon)
-    forecast_to_csv(steps, normalizer, args.out)
-    print(f"wrote {len(steps)} forecast rows to {args.out}")
+    times, out = rollout(model, window[None], meta[None], [next_ts], [args.carrier],
+                         args.horizon)
+    forecast_to_csv(times[0], args.carrier, out.quantiles[0], out.det[0], normalizer,
+                    args.out)
+    print(f"wrote {args.horizon} forecast rows to {args.out}")
     return EXIT_OK
 
 

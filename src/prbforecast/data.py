@@ -273,12 +273,10 @@ def sample_dtype(n_past: int, n_future: int) -> np.dtype:
 
 
 def make_samples(series_list: list[KpiSeries], normalizer: Normalizer,
-                 n_past: int, n_future: int, stride: int = 1) -> np.ndarray:
+                 n_past: int, n_future: int) -> np.ndarray:
     """Sliding-window samples as one structured array of `sample_dtype`,
     carrier-major then time-major (carrier_id ascending) for deterministic
     batching."""
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
     window = n_past + n_future
     dtype = sample_dtype(n_past, n_future)
     parts = []
@@ -290,8 +288,8 @@ def make_samples(series_list: list[KpiSeries], normalizer: Normalizer,
         feats = normalizer.apply(series.values).astype(np.float32)
         meta = calendar_meta(series.times, series.carrier_id)
         # (samples, window, columns) views, one row per window start
-        x = sliding_window_view(feats, window, axis=0)[::stride].swapaxes(1, 2)
-        m = sliding_window_view(meta, window, axis=0)[::stride].swapaxes(1, 2)
+        x = sliding_window_view(feats, window, axis=0).swapaxes(1, 2)
+        m = sliding_window_view(meta, window, axis=0).swapaxes(1, 2)
         part = np.empty(len(x), dtype)
         part["enc_x"], part["targets"] = x[:, :n_past], x[:, n_past:]
         part["enc_meta"], part["dec_meta"] = m[:, :n_past], m[:, n_past:]

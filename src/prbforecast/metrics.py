@@ -11,9 +11,9 @@ import os
 
 import numpy as np
 
-from .data import KpiSeries, Normalizer, format_timestamp
+from .data import KpiSeries, Normalizer
 from .model import ForecastModel
-from .rollout import ForecastStep, rollout, window_from_records
+from .rollout import rollout, window_from_records
 from .training import TrainConfig, atomic_write_bytes, checkpoint_bytes
 
 
@@ -79,27 +79,26 @@ def evaluate(model: ForecastModel, normalizer: Normalizer,
                for s in series_list]
     rows = [window_from_records(s, a, hp.n_past, normalizer) + (s.carrier_id,)
             for s, anchor_list in zip(series_list, anchors) for a in anchor_list]
-    windows, metas, next_ts, carriers = zip(*rows)
-    forecasts = iter(rollout(model, np.stack(windows), np.stack(metas), next_ts,
-                             carriers, horizon))
+    windows, metas, starts, carriers = zip(*rows)
+    times, out = rollout(model, np.stack(windows), np.stack(metas), starts, carriers,
+                         horizon)
     if plot_dir:
         os.makedirs(plot_dir, exist_ok=True)
     per_carrier = []
+    r = 0  # rollout row of (series, a): carrier-major, then anchor
     for series, anchor_list in zip(series_list, anchors):
         residuals = series.values[:, -1]
         maes, stds, hits = [], [], []
         for a in anchor_list:
-            steps = next(forecasts)
             truth = residuals[a:a + horizon]
-            q10 = np.array([s.q10 for s in steps])
-            q50 = np.array([s.q50 for s in steps])
-            q90 = np.array([s.q90 for s in steps])
+            q10, q50, q90 = out.quantiles[r].T
             maes.append(mae(truth, q50))
             stds.append(abs_err_std(truth, q50))
             hits.append(hit_probability(truth, q10, q90))
             if plot_dir and a == anchor_list[0]:
-                emit_plot_svg(truth, steps, os.path.join(
-                    plot_dir, f"carrier_{series.carrier_id}.svg"))
+                emit_plot_svg(truth, times[r], series.carrier_id, out.quantiles[r],
+                              os.path.join(plot_dir, f"carrier_{series.carrier_id}.svg"))
+            r += 1
         per_carrier.append({
             "carrier_id": series.carrier_id,
             "mae": float(np.mean(maes)),
@@ -133,44 +132,37 @@ def write_report(report: dict, path: str) -> None:
     atomic_write_bytes(path, (json.dumps(report, indent=2, sort_keys=True) + "\n").encode())
 
 
-def emit_plot_svg(truth, forecast: list[ForecastStep], path: str,
+def emit_plot_svg(truth, times, carrier_id: int, quantiles, path: str,
                   width: int = 960, height: int = 360) -> None:
-    """Standalone SVG: ground-truth polyline, median polyline, and the
-    q10-q90 band as one polygon (q90 forward then q10 reversed, 2K vertices)."""
+    """Standalone SVG of one rollout row, from its (K,) instants and (K, 3)
+    quantiles: ground-truth polyline, median polyline, and the q10-q90 band
+    as one polygon (q90 forward then q10 reversed, 2K vertices)."""
     truth = np.asarray(truth, dtype=np.float64)
-    if truth.size == 0 or not forecast:
+    quantiles = np.asarray(quantiles, dtype=np.float64)
+    if truth.size == 0 or len(quantiles) == 0:
         raise ValueError("cannot plot an empty series")
-    if truth.size != len(forecast):
-        raise ValueError(f"truth has {truth.size} steps, forecast {len(forecast)}")
-    k = len(forecast)
-    q10 = np.array([s.q10 for s in forecast])
-    q50 = np.array([s.q50 for s in forecast])
-    q90 = np.array([s.q90 for s in forecast])
+    if truth.size != len(quantiles):
+        raise ValueError(f"truth has {truth.size} steps, forecast {len(quantiles)}")
+    k = len(quantiles)
 
     margin = 40.0
-    def x(i):
-        return margin + (width - 2 * margin) * (i / max(k - 1, 1))
+    xs = margin + (width - 2 * margin) * (np.arange(k) / max(k - 1, 1))
 
-    def y(v):
-        return height - margin - (height - 2 * margin) * float(np.clip(v, 0.0, 1.0))
+    def points(values, x=xs):
+        ys = height - margin - (height - 2 * margin) * np.clip(values, 0.0, 1.0)
+        return " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(x.tolist(), ys.tolist()))
 
-    def polyline(values):
-        return " ".join(f"{x(i):.2f},{y(v):.2f}" for i, v in enumerate(values))
-
-    band = [f"{x(i):.2f},{y(v):.2f}" for i, v in enumerate(q90)]
-    band += [f"{x(i):.2f},{y(v):.2f}" for i, v in zip(range(k - 1, -1, -1), q10[::-1])]
-
-    start = format_timestamp(forecast[0].timestamp)
-    end = format_timestamp(forecast[-1].timestamp)
+    band = points(quantiles[:, 2]) + " " + points(quantiles[::-1, 0], xs[::-1])
+    start, end = np.datetime_as_string(times[[0, -1]], unit="s")
     svg = f"""<?xml version="1.0" encoding="UTF-8"?>
 <svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" viewBox="0 0 {width} {height}">
   <rect width="{width}" height="{height}" fill="white"/>
   <line x1="{margin}" y1="{height - margin}" x2="{width - margin}" y2="{height - margin}" stroke="black"/>
   <line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" stroke="black"/>
-  <text x="{margin}" y="20" font-size="13">carrier {forecast[0].carrier_id}: residual PRB, {start} to {end}</text>
-  <polygon points="{' '.join(band)}" fill="#7aa6d9" fill-opacity="0.35" stroke="none"/>
-  <polyline points="{polyline(truth)}" fill="none" stroke="#222222" stroke-width="1.2"/>
-  <polyline points="{polyline(q50)}" fill="none" stroke="#d9662a" stroke-width="1.2"/>
+  <text x="{margin}" y="20" font-size="13">carrier {carrier_id}: residual PRB, {start}Z to {end}Z</text>
+  <polygon points="{band}" fill="#7aa6d9" fill-opacity="0.35" stroke="none"/>
+  <polyline points="{points(truth)}" fill="none" stroke="#222222" stroke-width="1.2"/>
+  <polyline points="{points(quantiles[:, 1])}" fill="none" stroke="#d9662a" stroke-width="1.2"/>
 </svg>
 """
     atomic_write_bytes(path, svg.encode("utf-8"))

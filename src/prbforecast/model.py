@@ -20,7 +20,6 @@ from .data import N_DET_FEATURES, N_FEATURES
 from .embedding import EmbeddingTables, _uniform, embed_tokens
 from .tensor import Tensor
 
-N_QUANTILES = 3
 QUANTILES = (0.1, 0.5, 0.9)
 
 
@@ -176,6 +175,7 @@ class DecoderLayer:
 
 @dataclass
 class DecoderOutput:
+    """One block (M steps) or a whole rollout (K steps) for B rows."""
     det: np.ndarray        # (B, M, 8) deterministic KPI predictions, normalized units
     quantiles: np.ndarray  # (B, M, 3) residual-PRB quantiles, ascending, in [0,1]
 
@@ -278,18 +278,14 @@ class ForecastModel:
 
     def forward_block(self, enc_x: np.ndarray, enc_meta: np.ndarray,
                       dec_meta: np.ndarray) -> DecoderOutput:
-        """Autoregressive-block inference: decoder continuous inputs are all
+        """Autoregressive-block inference on a batch of (B, N, 9) windows with
+        (B, N, 5) and (B, M, 5) metadata: decoder continuous inputs are all
         zero; quantiles come back sorted ascending and clipped to [0,1]."""
         hp = self.hp
-        enc_x = np.asarray(enc_x)
-        if enc_x.ndim == 2:
-            enc_x = enc_x[None]
-            enc_meta = np.asarray(enc_meta)[None]
-            dec_meta = np.asarray(dec_meta)[None]
         with T.no_grad():
             enc_tokens = embed_tokens(self.embed, enc_x, enc_meta, "encoder")
             z = self.encode(enc_tokens, training=False)
-            dec_cont = np.zeros((enc_x.shape[0], hp.n_future, hp.n_features),
+            dec_cont = np.zeros((len(enc_x), hp.n_future, hp.n_features),
                                 dtype=np.float32)
             dec_tokens = embed_tokens(self.embed, dec_cont, dec_meta, "decoder")
             det, quant = self.decode(z, dec_tokens, training=False)

@@ -11,33 +11,23 @@ the grid, never predicted.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
-from datetime import datetime
 
 import numpy as np
 
 from .data import (FEATURE_NAMES, N_FEATURES, STEP, KpiSeries, Normalizer,
-                   calendar_meta, format_timestamp, to_datetime, to_datetime64)
-from .model import ForecastModel
-
-
-@dataclass
-class ForecastStep:
-    timestamp: datetime
-    carrier_id: int
-    q10: float
-    q50: float
-    q90: float
-    det: np.ndarray  # 8 deterministic KPI predictions, normalized units
+                   calendar_meta)
+from .model import DecoderOutput, ForecastModel
 
 
 def rollout(model: ForecastModel, windows: np.ndarray, metas: np.ndarray,
-            next_timestamps, carrier_ids, horizon: int) -> list[list[ForecastStep]]:
-    """Emit `horizon` forecast steps for each of B rows, advancing all rows
+            starts, carrier_ids, horizon: int) -> tuple[np.ndarray, DecoderOutput]:
+    """Forecast `horizon` steps for each of B rows, advancing all rows
     together in M-step blocks through their fixed-length windows (B, N, 9)
-    with metadata (B, N, 5). Row b starts at `next_timestamps[b]` for
-    carrier `carrier_ids[b]`. The last block is truncated if the horizon is
-    not a multiple of M. Returns one list of steps per row."""
+    with metadata (B, N, 5). Row b starts at the `datetime64[m]` instant
+    `starts[b]` for carrier `carrier_ids[b]`. The last block is truncated if
+    the horizon is not a multiple of M. Returns the (B, K) `datetime64[m]`
+    step instants and one `DecoderOutput` with `det` (B, K, 8) and
+    `quantiles` (B, K, 3)."""
     hp = model.hp
     m = hp.n_future
     if horizon < 1:
@@ -45,11 +35,11 @@ def rollout(model: ForecastModel, windows: np.ndarray, metas: np.ndarray,
     windows = np.array(windows, dtype=np.float32)
     metas = np.array(metas, dtype=np.int64)
     if windows.shape[1:] != (hp.n_past, N_FEATURES) or not (
-            0 < len(windows) == len(metas) == len(next_timestamps) == len(carrier_ids)):
+            0 < len(windows) == len(metas) == len(starts) == len(carrier_ids)):
         raise ValueError(f"need B >= 1 windows of shape ({hp.n_past}, {N_FEATURES}) with "
-                         f"as many metas, timestamps and carriers, got {windows.shape}")
+                         f"as many metas, starts and carriers, got {windows.shape}")
     n_blocks = -(-horizon // m)
-    starts = np.array([to_datetime64(ts) for ts in next_timestamps])
+    starts = np.asarray(starts, dtype="datetime64[m]")
     times = starts[:, None] + np.arange(n_blocks * m) * STEP  # (B, n_blocks * M)
     future_meta = calendar_meta(times, np.asarray(carrier_ids)[:, None])
     dets, quants = [], []
@@ -63,35 +53,31 @@ def rollout(model: ForecastModel, windows: np.ndarray, metas: np.ndarray,
         metas = np.concatenate([metas[:, m:], dec_meta], axis=1)
         dets.append(out.det)          # (B, M, 8)
         quants.append(out.quantiles)  # (B, M, 3), sorted + clipped
-    return [[ForecastStep(timestamp=to_datetime(ts), carrier_id=c,
-                          q10=float(q[i, 0]), q50=float(q[i, 1]), q90=float(q[i, 2]),
-                          det=d[i].copy())
-             for i, ts in enumerate(row[:horizon])]
-            for row, c, d, q in zip(times, carrier_ids, np.concatenate(dets, axis=1),
-                                    np.concatenate(quants, axis=1))]
+    return times[:, :horizon], DecoderOutput(
+        det=np.concatenate(dets, axis=1)[:, :horizon],
+        quantiles=np.concatenate(quants, axis=1)[:, :horizon])
 
 
 def window_from_records(series: KpiSeries, at: int, n_past: int,
                         normalizer: Normalizer):
-    """(window, meta, next_timestamp) from the `n_past` observations of
-    `series` before index `at`."""
+    """(window, meta, next instant) from the `n_past` observations of
+    `series` before index `at`; the instant is `datetime64[m]`."""
     window = normalizer.apply(series.values[at - n_past:at]).astype(np.float32)
     meta = calendar_meta(series.times[at - n_past:at], series.carrier_id)
-    return window, meta, to_datetime(series.times[at - 1] + STEP)
+    return window, meta, series.times[at - 1] + STEP
 
 
-def forecast_to_csv(forecasts: list[ForecastStep], normalizer: Normalizer,
-                    path: str) -> None:
-    """One row per step: quantiles in ratio units, deterministic KPIs
+def forecast_to_csv(times: np.ndarray, carrier_id: int, quantiles: np.ndarray,
+                    det: np.ndarray, normalizer: Normalizer, path: str) -> None:
+    """One row per step of one rollout row, from its (K,) instants, (K, 3)
+    quantiles and (K, 8) det: quantiles in ratio units, deterministic KPIs
     denormalized back to native units."""
+    raw = normalizer.invert(np.concatenate([det, quantiles[:, 1:2]], axis=1))
+    stamps = np.datetime_as_string(times, unit="s")
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["timestamp", "carrier_id", "q10", "q50", "q90"]
                         + FEATURE_NAMES)
-        for step in forecasts:
-            padded = np.concatenate([step.det, [step.q50]])
-            det_raw = normalizer.invert(padded)[:len(FEATURE_NAMES)]
-            writer.writerow(
-                [format_timestamp(step.timestamp), step.carrier_id,
-                 f"{step.q10:.6f}", f"{step.q50:.6f}", f"{step.q90:.6f}"]
-                + [f"{v:.6f}" for v in det_raw])
+        writer.writerows([f"{stamp}Z", carrier_id] + [f"{v:.6f}" for v in q + kpis]
+                         for stamp, q, kpis in zip(stamps, quantiles.tolist(),
+                                                   raw[:, :len(FEATURE_NAMES)].tolist()))

@@ -147,25 +147,25 @@ def test_criterion_4_rollout_invariants_week_horizon():
              for i in range(hp.n_past)]
     meta = calendar_meta([to_datetime64(t) for t in times], 2)
 
-    steps = rollout(model, window[None], meta[None], [start], [2], 672)[0]
-    short = rollout(model, window[None], meta[None], [start], [2], 96)[0]
-    ok = len(steps) == 672
-    ok = ok and all(a.q50 == b.q50 and np.array_equal(a.det, b.det)
-                    for a, b in zip(short, steps[:96]))
-    ok = ok and all(s.q10 <= s.q50 <= s.q90 for s in steps)
+    _, out = rollout(model, window[None], meta[None], [to_datetime64(start)], [2], 672)
+    _, short = rollout(model, window[None], meta[None], [to_datetime64(start)], [2], 96)
+    q, det = out.quantiles[0], out.det[0]
+    ok = len(q) == len(det) == 672
+    ok = ok and (np.array_equal(short.quantiles[0, :, 1], q[:96, 1])
+                 and np.array_equal(short.det[0], det[:96]))
+    ok = ok and bool(np.all((q[:, 0] <= q[:, 1]) & (q[:, 1] <= q[:, 2])))
     # replay the recursion: window length stays n_past and the residual
     # column of every fed-back row is exactly the emitted median
     state = window.copy()
     i = 0
     while ok and i < 672:
-        block = steps[i:i + hp.n_future]
-        fed = np.stack([
-            np.concatenate([np.clip(s.det, 0, 1), [s.q50]]).astype(np.float32)
-            for s in block])
-        state = np.concatenate([state[len(block):], fed])
+        block = slice(i, i + hp.n_future)
+        fed = np.concatenate([np.clip(det[block], 0, 1), q[block, 1:2]],
+                             axis=1).astype(np.float32)
+        state = np.concatenate([state[len(fed):], fed])
         ok = ok and state.shape == (hp.n_past, 9)
-        ok = ok and all(row[8] == np.float32(s.q50)
-                        for s, row in zip(block, fed))
+        ok = ok and all(row[8] == np.float32(q50)
+                        for q50, row in zip(q[block, 1], fed))
         i += hp.n_future
     report(4, "recursive rollout invariants over 672 steps", ok)
 
@@ -250,11 +250,11 @@ def test_criterion_7_determinism_and_checkpoint_roundtrip(tmp_path):
     loaded, _, norm2 = load_checkpoint(path)
     s = train_s[0]
     window, meta, next_ts = window_from_records(s, hp.n_past, hp.n_past, norm)
-    a = rollout(m1, window[None], meta[None], [next_ts], [s.carrier_id], 24)[0]
+    _, a = rollout(m1, window[None], meta[None], [next_ts], [s.carrier_id], 24)
     window, meta, next_ts = window_from_records(s, hp.n_past, hp.n_past, norm2)
-    b = rollout(loaded, window[None], meta[None], [next_ts], [s.carrier_id], 24)[0]
-    ok = ok and all(x.q10 == y.q10 and x.q50 == y.q50 and x.q90 == y.q90
-                    and np.array_equal(x.det, y.det) for x, y in zip(a, b))
+    _, b = rollout(loaded, window[None], meta[None], [next_ts], [s.carrier_id], 24)
+    ok = ok and (np.array_equal(a.quantiles, b.quantiles)
+                 and np.array_equal(a.det, b.det))
     report(7, "training determinism and checkpoint round trip", ok)
 
 

@@ -169,6 +169,27 @@ class TestForecast:
         assert len(rows) == 9
         assert rows[1][0] == "2024-01-02T00:00:00Z"
 
+    def test_from_one_step_after_the_data_forecasts_from_its_end(self, workspace, tmp_path):
+        # the data covers 2024-01-01 .. 2024-01-04T23:45:00Z
+        out = tmp_path / "fc.csv"
+        assert main(["forecast", "--model", str(workspace["model"]),
+                     "--data", str(workspace["data"]), "--carrier", "1",
+                     "--from", "2024-01-05T00:00:00Z", "--horizon", "3",
+                     "--out", str(out)]) == 0
+        with open(out) as f:
+            rows = list(csv.reader(f))
+        assert [r[0] for r in rows[1:]] == ["2024-01-05T00:00:00Z", "2024-01-05T00:15:00Z",
+                                            "2024-01-05T00:30:00Z"]
+
+    def test_from_two_steps_after_the_data_is_usage_error(self, workspace, tmp_path, capsys):
+        out = tmp_path / "fc.csv"
+        assert main(["forecast", "--model", str(workspace["model"]),
+                     "--data", str(workspace["data"]), "--carrier", "1",
+                     "--from", "2024-01-05T00:15:00Z", "--horizon", "3",
+                     "--out", str(out)]) == 1
+        assert "not found in the data" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_insufficient_history_is_usage_error(self, workspace, tmp_path):
         assert main(["forecast", "--model", str(workspace["model"]),
                      "--data", str(workspace["data"]), "--carrier", "0",

@@ -265,7 +265,7 @@ class TestMakeSamples:
     def test_sample_count_by_anchor_enumeration(self):
         series = make_series(10)
         norm = Normalizer.fit([series])
-        samples = make_samples([series], norm, 4, 2, stride=1)
+        samples = make_samples([series], norm, 4, 2)
         # anchors enumerated by hand: starts 0..4 fit a 6-step window in 10
         assert len(samples) == 5
 

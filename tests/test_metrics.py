@@ -1,15 +1,14 @@
 import xml.etree.ElementTree as ET
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 
 from prbforecast import tensor as T
-from prbforecast.data import Normalizer
+from prbforecast.data import STEP, Normalizer, to_datetime64
 from prbforecast.metrics import (abs_err_std, anchor_positions, emit_plot_svg,
                                  evaluate, hit_probability, mae)
 from prbforecast.model import ForecastModel, Hyperparams
-from prbforecast.rollout import ForecastStep
 from prbforecast.synth import default_profiles, generate
 
 UTC = timezone.utc
@@ -121,11 +120,11 @@ class TestEvaluate:
         from prbforecast.rollout import rollout, window_from_records
         s = series[0]
         window, meta, next_ts = window_from_records(s, hp.n_past, hp.n_past, norm)
-        steps = rollout(model, window[None], meta[None], [next_ts], [s.carrier_id],
-                        hp.n_future)[0]
+        _, out = rollout(model, window[None], meta[None], [next_ts], [s.carrier_id],
+                         hp.n_future)
         truth = s.values[hp.n_past:hp.n_past + hp.n_future, -1]
         assert report["per_carrier"][0]["mae"] == pytest.approx(
-            mae(truth, [st.q50 for st in steps]), abs=1e-12)
+            mae(truth, out.quantiles[0, :, 1]), abs=1e-12)
 
     def test_anchor_out_of_range(self):
         model, norm, series = self._setup()
@@ -158,22 +157,17 @@ class TestAnchorPositions:
 
 class TestSvg:
     def _forecast(self, k):
-        start = datetime(2024, 3, 4, tzinfo=UTC)
-        rng = np.random.default_rng(4)
-        out = []
-        for i in range(k):
-            mid = rng.random() * 0.5 + 0.25
-            out.append(ForecastStep(
-                timestamp=start + i * timedelta(minutes=15), carrier_id=0,
-                q10=mid - 0.1, q50=mid, q90=mid + 0.1,
-                det=np.zeros(8, dtype=np.float32)))
-        return out
+        """(K,) instants and (K, 3) quantiles of a made-up rollout row."""
+        start = to_datetime64(datetime(2024, 3, 4, tzinfo=UTC))
+        mid = np.random.default_rng(4).random(k) * 0.5 + 0.25
+        times = start + np.arange(k) * STEP
+        return times, np.stack([mid - 0.1, mid, mid + 0.1], axis=1)
 
     def test_valid_xml_with_expected_elements(self, tmp_path):
         path = tmp_path / "plot.svg"
-        forecast = self._forecast(96)
+        times, quantiles = self._forecast(96)
         truth = np.random.default_rng(5).random(96)
-        emit_plot_svg(truth, forecast, str(path))
+        emit_plot_svg(truth, times, 0, quantiles, str(path))
         root = ET.parse(path).getroot()
         assert root.tag.endswith("svg")
         ns = "{http://www.w3.org/2000/svg}"
@@ -185,13 +179,33 @@ class TestSvg:
     def test_band_polygon_has_2k_vertices(self, tmp_path):
         k = 24
         path = tmp_path / "plot.svg"
-        emit_plot_svg(np.full(k, 0.5), self._forecast(k), str(path))
+        times, quantiles = self._forecast(k)
+        emit_plot_svg(np.full(k, 0.5), times, 0, quantiles, str(path))
         root = ET.parse(path).getroot()
         polygon = root.find("{http://www.w3.org/2000/svg}polygon")
         assert len(polygon.get("points").split()) == 2 * k
 
+    def test_values_outside_unit_range_are_clipped_to_the_frame(self, tmp_path):
+        k, height, margin = 16, 200, 40.0
+        path = tmp_path / "plot.svg"
+        times, quantiles = self._forecast(k)
+        quantiles[::2] += 1.5   # every other step above 1
+        quantiles[1::2] -= 1.5  # the rest below 0
+        truth = np.where(np.arange(k) % 2 == 0, -0.7, 2.3)
+        emit_plot_svg(truth, times, 0, quantiles, str(path), height=height)
+        root = ET.parse(path).getroot()
+        ns = "{http://www.w3.org/2000/svg}"
+        shapes = root.findall(f"{ns}polyline") + root.findall(f"{ns}polygon")
+        assert len(shapes) == 3
+        ys = [float(p.split(",")[1]) for shape in shapes
+              for p in shape.get("points").split()]
+        assert len(ys) == 4 * k
+        assert all(margin <= y <= height - margin for y in ys)
+        assert min(ys) == margin and max(ys) == height - margin
+
     def test_empty_series_is_error_and_no_file(self, tmp_path):
         path = tmp_path / "plot.svg"
         with pytest.raises(ValueError):
-            emit_plot_svg(np.array([]), [], str(path))
+            emit_plot_svg(np.array([]), np.array([], "datetime64[m]"), 0,
+                          np.empty((0, 3)), str(path))
         assert not path.exists()

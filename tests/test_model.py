@@ -55,7 +55,7 @@ class TestShapes:
         T.seed_all(0)
         model = ForecastModel(hp)
         enc_x, enc_meta, _, dec_meta = make_batch(hp)
-        out = model.forward_block(enc_x[0], enc_meta[0], dec_meta[0])
+        out = model.forward_block(enc_x[:1], enc_meta[:1], dec_meta[:1])
         assert out.det.shape == (1, 2, 8)
         assert out.quantiles.shape == (1, 2, 3)
 

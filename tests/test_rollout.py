@@ -29,69 +29,82 @@ def make_window(hp=TINY, seed=1):
     return window, meta
 
 
+def roll(model, window, meta, horizon, start=START, carrier=2):
+    """Batch-of-one rollout: its (K,) instants, (K, 3) quantiles, (K, 8) det."""
+    times, out = rollout(model, window[None], meta[None], [to_datetime64(start)],
+                         [carrier], horizon)
+    return times[0], out.quantiles[0], out.det[0]
+
+
 class TestRollout:
     def test_step_counts(self):
         model = make_model()
         window, meta = make_window()
-        assert len(rollout(model, window[None], meta[None], [START], [2], 96)[0]) == 96
-        assert len(rollout(model, window[None], meta[None], [START], [2], 1)[0]) == 1
-        assert len(rollout(model, window[None], meta[None], [START], [2], 3)[0]) == 3
+        assert len(roll(model, window, meta, 96)[1]) == 96
+        assert len(roll(model, window, meta, 1)[1]) == 1
+        assert len(roll(model, window, meta, 3)[1]) == 3
+
+    def test_result_shapes(self):
+        model = make_model()
+        window, meta = make_window()
+        times, out = rollout(model, np.stack([window] * 2), np.stack([meta] * 2),
+                             [to_datetime64(START)] * 2, [2, 5], 5)
+        assert times.shape == (2, 5) and times.dtype == np.dtype("datetime64[m]")
+        assert out.det.shape == (2, 5, 8)
+        assert out.quantiles.shape == (2, 5, 3)
 
     def test_bad_horizon_and_window(self):
         model = make_model()
         window, meta = make_window()
         with pytest.raises(ValueError):
-            rollout(model, window[None], meta[None], [START], [2], 0)
+            roll(model, window, meta, 0)
         with pytest.raises(ValueError):
-            rollout(model, window[:3][None], meta[:3][None], [START], [2], 4)
+            roll(model, window[:3], meta[:3], 4)
 
     def test_window_update_traced_by_hand(self):
         # N=4, M=2: after one block the window is [x2, x3, xhat4, xhat5]
         model = make_model(seed=3)
         window, meta = make_window(seed=4)
-        steps = rollout(model, window[None], meta[None], [START], [2], 2)[0]
-        fed0 = np.concatenate([np.clip(steps[0].det, 0, 1), [steps[0].q50]])
-        fed1 = np.concatenate([np.clip(steps[1].det, 0, 1), [steps[1].q50]])
+        _, q, det = roll(model, window, meta, 2)
+        fed0 = np.concatenate([np.clip(det[0], 0, 1), [q[0, 1]]])
+        fed1 = np.concatenate([np.clip(det[1], 0, 1), [q[1, 1]]])
         expected_window = np.stack([window[2], window[3],
                                     fed0.astype(np.float32),
                                     fed1.astype(np.float32)])
         # a second block must be computed from exactly that window
-        continued = rollout(model, window[None], meta[None], [START], [2], 4)[0]
+        _, continued_q, continued_det = roll(model, window, meta, 4)
         meta2 = np.concatenate([
             meta[2:],
             calendar_meta([to_datetime64(START),
                            to_datetime64(START + timedelta(minutes=15))], 2)])
-        direct = rollout(model, expected_window[None], meta2[None],
-                         [START + 2 * timedelta(minutes=15)], [2], 2)[0]
-        for a, b in zip(continued[2:], direct):
-            assert a.q50 == b.q50 and a.q10 == b.q10 and a.q90 == b.q90
-            np.testing.assert_array_equal(a.det, b.det)
+        _, direct_q, direct_det = roll(model, expected_window, meta2, 2,
+                                       START + 2 * timedelta(minutes=15))
+        np.testing.assert_array_equal(continued_q[2:], direct_q)
+        np.testing.assert_array_equal(continued_det[2:], direct_det)
 
     def test_prefix_consistency(self):
         model = make_model(seed=5)
         window, meta = make_window(seed=6)
-        short = rollout(model, window[None], meta[None], [START], [2], 2)[0]
-        long = rollout(model, window[None], meta[None], [START], [2], 4)[0]
-        for a, b in zip(short, long[:2]):
-            assert (a.q10, a.q50, a.q90) == (b.q10, b.q50, b.q90)
-            np.testing.assert_array_equal(a.det, b.det)
+        _, short_q, short_det = roll(model, window, meta, 2)
+        _, long_q, long_det = roll(model, window, meta, 4)
+        np.testing.assert_array_equal(short_q, long_q[:2])
+        np.testing.assert_array_equal(short_det, long_det[:2])
 
     def test_median_feedback_bit_exact_and_bounded(self):
         model = make_model(seed=7)
         window, meta = make_window(seed=8)
         horizon = 12
-        steps = rollout(model, window[None], meta[None], [START], [2], horizon)[0]
+        _, q, det = roll(model, window, meta, horizon)
         # replay the recursion and compare the residual column of the window
         state = window.copy()
         i = 0
         while i < horizon:
-            block = steps[i:i + 2]
-            fed = np.stack([
-                np.concatenate([np.clip(s.det, 0, 1), [s.q50]]).astype(np.float32)
-                for s in block])
+            block = slice(i, i + 2)
+            fed = np.concatenate([np.clip(det[block], 0, 1), q[block, 1:2]],
+                                 axis=1).astype(np.float32)
             state = np.concatenate([state[2:], fed])
-            for s, row in zip(block, fed):
-                assert row[8] == np.float32(s.q50)
+            for q50, row in zip(q[block, 1], fed):
+                assert row[8] == np.float32(q50)
                 assert 0.0 <= row[8] <= 1.0
                 assert (row[:8] >= 0).all() and (row[:8] <= 1).all()
             i += 2
@@ -99,15 +112,15 @@ class TestRollout:
     def test_quantiles_never_cross_over_long_horizon(self):
         model = make_model(seed=9)
         window, meta = make_window(seed=10)
-        for s in rollout(model, window[None], meta[None], [START], [2], 96)[0]:
-            assert s.q10 <= s.q50 <= s.q90
+        for q10, q50, q90 in roll(model, window, meta, 96)[1]:
+            assert q10 <= q50 <= q90
 
     def test_timestamps_advance_on_grid(self):
         model = make_model(seed=11)
         window, meta = make_window(seed=12)
-        steps = rollout(model, window[None], meta[None], [START], [2], 8)[0]
-        for i, s in enumerate(steps):
-            assert s.timestamp == START + i * timedelta(minutes=15)
+        times = roll(model, window, meta, 8)[0]
+        for i, t in enumerate(times):
+            assert t == to_datetime64(START + i * timedelta(minutes=15))
 
     def test_batched_rows_equal_batch_of_one(self):
         model = make_model(seed=15)
@@ -121,25 +134,26 @@ class TestRollout:
             rows.append((window.astype(np.float32), meta, start, carrier))
         windows, metas, starts, carriers = zip(*rows)
         horizon = 7  # not a multiple of M=2
-        batched = rollout(model, np.stack(windows), np.stack(metas), starts, carriers, horizon)
-        assert len(batched) == 3
-        for (window, meta, start, carrier), steps in zip(rows, batched):
-            alone = rollout(model, window[None], meta[None], [start], [carrier], horizon)[0]
-            assert len(steps) == len(alone) == horizon
-            for a, b in zip(steps, alone):
-                assert (a.timestamp, a.carrier_id) == (b.timestamp, b.carrier_id)
-                assert (a.q10, a.q50, a.q90) == (b.q10, b.q50, b.q90)
-                np.testing.assert_array_equal(a.det, b.det)
+        times, out = rollout(model, np.stack(windows), np.stack(metas),
+                             [to_datetime64(t) for t in starts], carriers, horizon)
+        assert len(times) == 3
+        for r, (window, meta, start, carrier) in enumerate(rows):
+            alone_times, alone_q, alone_det = roll(model, window, meta, horizon,
+                                                   start, carrier)
+            assert times.shape[1] == len(alone_q) == horizon
+            np.testing.assert_array_equal(times[r], alone_times)
+            np.testing.assert_array_equal(out.quantiles[r], alone_q)
+            np.testing.assert_array_equal(out.det[r], alone_det)
 
 
 class TestForecastCsv:
     def test_csv_layout(self, tmp_path):
         model = make_model(seed=13)
         window, meta = make_window(seed=14)
-        steps = rollout(model, window[None], meta[None], [START], [2], 96)[0]
+        times, q, det = roll(model, window, meta, 96)
         norm = Normalizer(mins=np.zeros(8), maxs=np.ones(8) * 10)
         path = tmp_path / "forecast.csv"
-        forecast_to_csv(steps, norm, str(path))
+        forecast_to_csv(times, 2, q, det, norm, str(path))
         with open(path) as f:
             rows = list(csv.reader(f))
         assert rows[0][:5] == ["timestamp", "carrier_id", "q10", "q50", "q90"]
@@ -154,3 +168,10 @@ class TestForecastCsv:
                 b = datetime.fromisoformat(ts.replace("Z", "+00:00"))
                 assert b - a == timedelta(minutes=15)
             prev = ts
+        # every value is the rollout's, quantiles as they are, KPIs inverted
+        # one step at a time
+        for i, row in enumerate(rows[1:]):
+            assert row[1] == "2"
+            assert row[2:5] == [f"{v:.6f}" for v in q[i].tolist()]
+            kpis = norm.invert(np.concatenate([det[i], [q[i, 1]]]))[:8]
+            assert row[5:] == [f"{v:.6f}" for v in kpis.tolist()]

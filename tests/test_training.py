@@ -274,9 +274,9 @@ class TestCheckpoint:
             np.testing.assert_array_equal(p1.data, p2.data)
         np.testing.assert_array_equal(norm.mins, norm2.mins)
         rng = np.random.default_rng(1)
-        enc_x = rng.random((TINY.n_past, 9)).astype(np.float32)
-        meta = np.zeros((TINY.n_past, 5), dtype=np.int64)
-        dec_meta = np.zeros((TINY.n_future, 5), dtype=np.int64)
+        enc_x = rng.random((1, TINY.n_past, 9)).astype(np.float32)
+        meta = np.zeros((1, TINY.n_past, 5), dtype=np.int64)
+        dec_meta = np.zeros((1, TINY.n_future, 5), dtype=np.int64)
         a = model.forward_block(enc_x, meta, dec_meta)
         b = loaded.forward_block(enc_x, meta, dec_meta)
         np.testing.assert_array_equal(a.det, b.det)
