@@ -14,11 +14,12 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import metrics as M
 from . import synth
 from .data import (STEP, IngestionError, Normalizer, chronological_split,
-                   load_csv, make_samples, parse_timestamp, save_csv, to_datetime,
-                   to_datetime64)
+                   load_csv, make_samples, parse_timestamp, save_csv, to_datetime64)
 from .model import ForecastModel, Hyperparams
 from .rollout import forecast_to_csv, rollout, window_from_records
 from .synth import STEPS_PER_DAY
@@ -197,10 +198,9 @@ def cmd_eval(args) -> int:
     report = M.evaluate(model, normalizer, series, args.horizon, args.anchors,
                         args.plot_dir)
     report["metadata"]["model_hash"] = M.model_hash(model, cfg, normalizer)
-    report["metadata"]["data_span"] = {
-        "start": min(str(to_datetime(s.times[0])) for s in series),
-        "end": max(str(to_datetime(s.times[-1])) for s in series),
-    }
+    start, end = np.datetime_as_string([min(s.times[0] for s in series),
+                                        max(s.times[-1] for s in series)], unit="s")
+    report["metadata"]["data_span"] = {"start": f"{start}Z", "end": f"{end}Z"}
     M.write_report(report, args.report)
     agg = report["aggregate"]
     print(f"mean MAE {agg['mean_mae']:.4f}, "

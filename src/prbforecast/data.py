@@ -57,18 +57,9 @@ def parse_timestamp(text: str) -> datetime:
     return ts
 
 
-def format_timestamp(ts: datetime) -> str:
-    return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
 def to_datetime64(ts: datetime) -> np.datetime64:
     """The instant of an aware datetime as datetime64[m]."""
     return np.datetime64(int(ts.timestamp()) // 60, "m")
-
-
-def to_datetime(t: np.datetime64) -> datetime:
-    """The aware UTC datetime of a datetime64 instant."""
-    return t.astype(datetime).replace(tzinfo=timezone.utc)
 
 
 @dataclass
@@ -84,13 +75,11 @@ class KpiSeries:
         bad = np.flatnonzero(np.diff(self.times) != STEP)
         if bad.size == 0:
             return
-        prev, cur = (to_datetime(t) for t in self.times[bad[0]:bad[0] + 2])
+        prev, cur = np.datetime_as_string(self.times[bad[0]:bad[0] + 2], unit="s")
         if prev == cur:
-            raise IngestionError(
-                f"carrier {self.carrier_id}: duplicate timestamp {prev}")
+            raise IngestionError(f"carrier {self.carrier_id}: duplicate timestamp {prev}Z")
         raise IngestionError(
-            f"carrier {self.carrier_id}: gap in 15-minute grid between "
-            f"{format_timestamp(prev)} and {format_timestamp(cur)}")
+            f"carrier {self.carrier_id}: gap in 15-minute grid between {prev}Z and {cur}Z")
 
     def __len__(self):
         return len(self.times)

@@ -51,11 +51,6 @@ class EmbeddingTables:
             carrier=_uniform(rng, (N_CARRIERS, d_emb), d_emb),
         )
 
-    def named(self) -> list[tuple[str, Tensor]]:
-        return [(f"embed.{k}", getattr(self, k)) for k in
-                ("w_proj", "b_proj", "enc_pos", "dec_pos",
-                 "month", "weekday", "hour", "minute", "carrier")]
-
 
 def embed_tokens(tables: EmbeddingTables, features: np.ndarray, meta: np.ndarray,
                  side: str, dropout_rate: float = 0.0, training: bool = False) -> Tensor:

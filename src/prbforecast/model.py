@@ -11,7 +11,8 @@ pinball term keeps its own gradient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -33,18 +34,11 @@ class Hyperparams:
     dropout: float = 0.1
     n_past: int = 4
     n_future: int = 2
-    quantiles: tuple = QUANTILES
-    n_features: int = N_FEATURES
-    n_det: int = N_DET_FEATURES
+    quantiles: ClassVar[tuple] = QUANTILES  # fixed head layout, not a setting
 
     def validate(self):
         if self.d_emb % self.heads != 0:
             raise ValueError(f"d_emb {self.d_emb} not divisible by heads {self.heads}")
-        qs = tuple(self.quantiles)
-        if any(not 0 < q < 1 for q in qs) or list(qs) != sorted(set(qs)):
-            raise ValueError(f"quantiles must be strictly increasing in (0,1): {qs}")
-        if self.n_det != self.n_features - 1:
-            raise ValueError("n_det must equal n_features - 1")
         for name in ("d_emb", "n_enc_layers", "n_dec_layers", "heads", "d_ff",
                      "n_past", "n_future"):
             if getattr(self, name) < 1:
@@ -53,20 +47,28 @@ class Hyperparams:
             raise ValueError("dropout must be in [0,1)")
 
     def to_dict(self) -> dict:
-        return {"d_emb": self.d_emb, "n_enc_layers": self.n_enc_layers,
-                "n_dec_layers": self.n_dec_layers, "heads": self.heads,
-                "d_ff": self.d_ff, "dropout": self.dropout,
-                "n_past": self.n_past, "n_future": self.n_future,
-                "quantiles": list(self.quantiles)}
+        return {**asdict(self), "quantiles": list(QUANTILES)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Hyperparams":
         d = dict(d)
-        if "quantiles" in d:
-            d["quantiles"] = tuple(d["quantiles"])
+        quantiles = d.pop("quantiles", QUANTILES)
+        if not isinstance(quantiles, (list, tuple)) or tuple(quantiles) != QUANTILES:
+            raise ValueError(f"quantiles are fixed at {list(QUANTILES)}, got {quantiles!r}")
         hp = cls(**d)
         hp.validate()
         return hp
+
+
+def named_tensors(node, prefix: str) -> list[tuple[str, Tensor]]:
+    """Every tensor under a parameter dataclass or a list of them, in field
+    (or list) order, named by its dotted path from `prefix`."""
+    if isinstance(node, Tensor):
+        return [(prefix, node)]
+    children = (enumerate(node) if isinstance(node, list)
+                else ((f.name, getattr(node, f.name)) for f in fields(node)))
+    return [pair for key, child in children
+            for pair in named_tensors(child, f"{prefix}.{key}")]
 
 
 @dataclass
@@ -78,9 +80,6 @@ class LayerNormParams:
     def create(cls, d: int) -> "LayerNormParams":
         return cls(Tensor(np.ones(d, dtype=np.float32), requires_grad=True),
                    Tensor(np.zeros(d, dtype=np.float32), requires_grad=True))
-
-    def named(self, prefix):
-        return [(f"{prefix}.gain", self.gain), (f"{prefix}.bias", self.bias)]
 
 
 @dataclass
@@ -104,10 +103,6 @@ class AttentionParams:
 
         return cls(w(), b(), w(), b(), w(), b(), w(), b())
 
-    def named(self, prefix):
-        return [(f"{prefix}.{n}", getattr(self, n))
-                for n in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")]
-
 
 @dataclass
 class FeedForwardParams:
@@ -123,9 +118,6 @@ class FeedForwardParams:
                    _uniform(rng, (d_ff, d), d_ff),
                    Tensor(np.zeros(d, dtype=np.float32), requires_grad=True))
 
-    def named(self, prefix):
-        return [(f"{prefix}.{n}", getattr(self, n)) for n in ("w1", "b1", "w2", "b2")]
-
 
 @dataclass
 class EncoderLayer:
@@ -140,10 +132,6 @@ class EncoderLayer:
                    FeedForwardParams.create(hp.d_emb, hp.d_ff, rng),
                    LayerNormParams.create(hp.d_emb),
                    LayerNormParams.create(hp.d_emb))
-
-    def named(self, prefix):
-        return (self.attn.named(f"{prefix}.attn") + self.ff.named(f"{prefix}.ff")
-                + self.ln1.named(f"{prefix}.ln1") + self.ln2.named(f"{prefix}.ln2"))
 
 
 @dataclass
@@ -163,14 +151,6 @@ class DecoderLayer:
                    LayerNormParams.create(hp.d_emb),
                    LayerNormParams.create(hp.d_emb),
                    LayerNormParams.create(hp.d_emb))
-
-    def named(self, prefix):
-        return (self.self_attn.named(f"{prefix}.self_attn")
-                + self.cross_attn.named(f"{prefix}.cross_attn")
-                + self.ff.named(f"{prefix}.ff")
-                + self.ln1.named(f"{prefix}.ln1")
-                + self.ln2.named(f"{prefix}.ln2")
-                + self.ln3.named(f"{prefix}.ln3"))
 
 
 @dataclass
@@ -208,18 +188,14 @@ class ForecastModel:
         self.embed = EmbeddingTables.create(hp.d_emb, hp.n_past, hp.n_future, rng)
         self.enc_layers = [EncoderLayer.create(hp, rng) for _ in range(hp.n_enc_layers)]
         self.dec_layers = [DecoderLayer.create(hp, rng) for _ in range(hp.n_dec_layers)]
-        n_out = hp.n_det + len(hp.quantiles)
+        n_out = N_DET_FEATURES + len(QUANTILES)
         self.w_head = _uniform(rng, (hp.d_emb, n_out), hp.d_emb)
         self.b_head = Tensor(np.zeros(n_out, dtype=np.float32), requires_grad=True)
 
     def named_params(self) -> list[tuple[str, Tensor]]:
-        out = list(self.embed.named())
-        for i, layer in enumerate(self.enc_layers):
-            out += layer.named(f"enc.{i}")
-        for i, layer in enumerate(self.dec_layers):
-            out += layer.named(f"dec.{i}")
-        out += [("head.w", self.w_head), ("head.b", self.b_head)]
-        return out
+        return (named_tensors(self.embed, "embed") + named_tensors(self.enc_layers, "enc")
+                + named_tensors(self.dec_layers, "dec")
+                + [("head.w", self.w_head), ("head.b", self.b_head)])
 
     def params(self) -> list[Tensor]:
         return [t for _, t in self.named_params()]
@@ -254,9 +230,8 @@ class ForecastModel:
             f = _feed_forward(layer.ff, x, hp.dropout, training)
             x = T.layer_norm(T.add(x, f), layer.ln3.gain, layer.ln3.bias)
         out = T.linear(x, self.w_head, self.b_head)
-        det = T.slice_lastdim(out, 0, hp.n_det)
-        quant = T.slice_lastdim(out, hp.n_det, hp.n_det + len(hp.quantiles))
-        return det, quant
+        return (T.slice_lastdim(out, 0, N_DET_FEATURES),
+                T.slice_lastdim(out, N_DET_FEATURES, out.shape[-1]))
 
     def _decoder_continuous_teacher(self, targets: np.ndarray) -> np.ndarray:
         """Shift ground truth by one step; step 0 gets the zero vector."""
@@ -264,31 +239,32 @@ class ForecastModel:
         shifted[:, 1:, :] = targets[:, :-1, :]
         return shifted
 
-    def forward_training(self, enc_x: np.ndarray, enc_meta: np.ndarray,
-                         targets: np.ndarray, dec_meta: np.ndarray,
-                         training: bool = True) -> tuple[Tensor, Tensor]:
+    def _forward(self, enc_x: np.ndarray, enc_meta: np.ndarray, dec_cont: np.ndarray,
+                 dec_meta: np.ndarray, training: bool) -> tuple[Tensor, Tensor]:
+        """Raw head outputs for encoder windows and decoder continuous inputs."""
         hp = self.hp
         enc_tokens = embed_tokens(self.embed, enc_x, enc_meta, "encoder",
                                   hp.dropout, training)
         z = self.encode(enc_tokens, training)
-        dec_cont = self._decoder_continuous_teacher(np.asarray(targets))
         dec_tokens = embed_tokens(self.embed, dec_cont, dec_meta, "decoder",
                                   hp.dropout, training)
         return self.decode(z, dec_tokens, training)
+
+    def forward_training(self, enc_x: np.ndarray, enc_meta: np.ndarray,
+                         targets: np.ndarray, dec_meta: np.ndarray,
+                         training: bool = True) -> tuple[Tensor, Tensor]:
+        """Teacher-forced raw (det, quantile) head outputs."""
+        dec_cont = self._decoder_continuous_teacher(np.asarray(targets))
+        return self._forward(enc_x, enc_meta, dec_cont, dec_meta, training)
 
     def forward_block(self, enc_x: np.ndarray, enc_meta: np.ndarray,
                       dec_meta: np.ndarray) -> DecoderOutput:
         """Autoregressive-block inference on a batch of (B, N, 9) windows with
         (B, N, 5) and (B, M, 5) metadata: decoder continuous inputs are all
         zero; quantiles come back sorted ascending and clipped to [0,1]."""
-        hp = self.hp
+        dec_cont = np.zeros((len(enc_x), self.hp.n_future, N_FEATURES), dtype=np.float32)
         with T.no_grad():
-            enc_tokens = embed_tokens(self.embed, enc_x, enc_meta, "encoder")
-            z = self.encode(enc_tokens, training=False)
-            dec_cont = np.zeros((len(enc_x), hp.n_future, hp.n_features),
-                                dtype=np.float32)
-            dec_tokens = embed_tokens(self.embed, dec_cont, dec_meta, "decoder")
-            det, quant = self.decode(z, dec_tokens, training=False)
+            det, quant = self._forward(enc_x, enc_meta, dec_cont, dec_meta, training=False)
         quantiles = np.clip(np.sort(quant.data, axis=-1), 0.0, 1.0)
         return DecoderOutput(det=det.data.copy(), quantiles=quantiles)
 
@@ -296,7 +272,7 @@ class ForecastModel:
 def param_count(hp: Hyperparams) -> int:
     """Closed-form learnable-parameter total for a given configuration."""
     d, ff = hp.d_emb, hp.d_ff
-    embed = (hp.n_features * d + d            # projection + bias
+    embed = (N_FEATURES * d + d               # projection + bias
              + hp.n_past * d + hp.n_future * d
              + (12 + 7 + 24 + 4 + 21) * d)
     attn = 4 * (d * d + d)
@@ -304,6 +280,6 @@ def param_count(hp: Hyperparams) -> int:
     ln = 2 * d
     enc = hp.n_enc_layers * (attn + ffn + 2 * ln)
     dec = hp.n_dec_layers * (2 * attn + ffn + 3 * ln)
-    n_out = hp.n_det + len(hp.quantiles)
+    n_out = N_DET_FEATURES + len(QUANTILES)
     head = d * n_out + n_out
     return embed + enc + dec + head

@@ -14,8 +14,8 @@ import csv
 
 import numpy as np
 
-from .data import (FEATURE_NAMES, N_FEATURES, STEP, KpiSeries, Normalizer,
-                   calendar_meta)
+from .data import (FEATURE_NAMES, N_DET_FEATURES, N_FEATURES, STEP, KpiSeries,
+                   Normalizer, calendar_meta)
 from .model import DecoderOutput, ForecastModel
 
 
@@ -47,8 +47,8 @@ def rollout(model: ForecastModel, windows: np.ndarray, metas: np.ndarray,
         dec_meta = future_meta[:, b * m:(b + 1) * m]
         out = model.forward_block(windows, metas, dec_meta)
         fed = np.empty((len(windows), m, N_FEATURES), dtype=np.float32)
-        fed[..., :hp.n_det] = np.clip(out.det, 0.0, 1.0)
-        fed[..., hp.n_det] = out.quantiles[..., 1]
+        fed[..., :N_DET_FEATURES] = np.clip(out.det, 0.0, 1.0)
+        fed[..., N_DET_FEATURES] = out.quantiles[..., 1]
         windows = np.concatenate([windows[:, m:], fed], axis=1)
         metas = np.concatenate([metas[:, m:], dec_meta], axis=1)
         dets.append(out.det)          # (B, M, 8)
@@ -71,8 +71,10 @@ def forecast_to_csv(times: np.ndarray, carrier_id: int, quantiles: np.ndarray,
                     det: np.ndarray, normalizer: Normalizer, path: str) -> None:
     """One row per step of one rollout row, from its (K,) instants, (K, 3)
     quantiles and (K, 8) det: quantiles in ratio units, deterministic KPIs
-    denormalized back to native units."""
-    raw = normalizer.invert(np.concatenate([det, quantiles[:, 1:2]], axis=1))
+    clipped to [0, 1] as the rollout feeds them back, then denormalized back
+    to native units, so no KPI falls outside the training range."""
+    raw = normalizer.invert(np.concatenate([np.clip(det, 0.0, 1.0), quantiles[:, 1:2]],
+                                           axis=1))
     stamps = np.datetime_as_string(times, unit="s")
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)

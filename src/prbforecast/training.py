@@ -16,13 +16,13 @@ import os
 import struct
 import tempfile
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .data import Normalizer, batch_samples
-from .model import ForecastModel, Hyperparams
+from .model import QUANTILES, ForecastModel, Hyperparams
 from .tensor import Tensor
 
 log = logging.getLogger(__name__)
@@ -61,9 +61,7 @@ class TrainConfig:
             raise ValueError("weight_decay and min_delta must be nonnegative")
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in
-                ("epochs", "batch_size", "lr", "weight_decay", "clip_norm",
-                 "patience", "min_delta", "alpha", "beta", "seed")}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -85,8 +83,7 @@ def pinball_loss(y: Tensor, y_hat: Tensor, q: float) -> Tensor:
 
 
 def total_loss(det: Tensor, quant: Tensor, targets: np.ndarray,
-               alpha: float, beta: float,
-               quantiles=(0.1, 0.5, 0.9)) -> Tensor:
+               alpha: float, beta: float, quantiles=QUANTILES) -> Tensor:
     """alpha * MSE over the 8 deterministic KPI columns plus beta * summed
     pinball losses over the residual column."""
     n_det = det.shape[-1]
@@ -165,8 +162,7 @@ def _evaluate_loss(model: ForecastModel, samples: np.ndarray,
                 samples[start:start + batch_size])
             det, quant = model.forward_training(enc_x, enc_meta, targets,
                                                 dec_meta, training=False)
-            loss = total_loss(det, quant, targets, cfg.alpha, cfg.beta,
-                              model.hp.quantiles)
+            loss = total_loss(det, quant, targets, cfg.alpha, cfg.beta)
             total += float(loss.data) * len(targets)
     return total / len(samples)
 
@@ -198,8 +194,7 @@ def train(train_samples: np.ndarray, val_samples: np.ndarray,
             try:
                 det, quant = model.forward_training(enc_x, enc_meta, targets,
                                                     dec_meta, training=True)
-                loss = total_loss(det, quant, targets, cfg.alpha, cfg.beta,
-                                  hp.quantiles)
+                loss = total_loss(det, quant, targets, cfg.alpha, cfg.beta)
                 value = float(loss.data)
                 if not np.isfinite(value):
                     raise TrainingError(f"non-finite training loss at epoch {epoch}")

@@ -151,6 +151,18 @@ class TestTrain:
                      "--out", str(tmp_path / "m.rupf")]) == 1
         assert repr(key) in capsys.readouterr().err
 
+    def test_other_quantiles_are_usage_error(self, workspace, tmp_path, capsys):
+        """The head layout is fixed at q10, q50, q90; another list stops the
+        run before training instead of writing a shifted forecast."""
+        config = tmp_path / "quantiles.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "hyperparams": {
+            **TINY_CONFIG["hyperparams"], "quantiles": [0.5, 0.9]}}))
+        out = tmp_path / "m.rupf"
+        assert main(["train", "--data", str(workspace["data"]),
+                     "--config", str(config), "--out", str(out)]) == 1
+        assert "quantiles" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_data_file_is_io_error(self, workspace, tmp_path):
         assert main(["train", "--data", str(tmp_path / "absent.csv"),
                      "--config", str(workspace["config"]),
@@ -225,6 +237,14 @@ class TestEval:
             assert entry["mae"] >= 0.0
         assert "model_hash" in doc["metadata"]
         assert sorted(os.listdir(plots)) == ["carrier_0.svg", "carrier_1.svg"]
+
+    def test_data_span_uses_utc_z_timestamps(self, workspace, tmp_path):
+        report = tmp_path / "report.json"
+        assert main(["eval", "--model", str(workspace["model"]),
+                     "--data", str(workspace["data"]), "--horizon", "8",
+                     "--report", str(report)]) == 0
+        span = json.loads(report.read_text())["metadata"]["data_span"]
+        assert span == {"start": "2024-01-01T00:00:00Z", "end": "2024-01-04T23:45:00Z"}
 
     def test_corrupt_checkpoint_is_rejected(self, workspace, tmp_path):
         broken = tmp_path / "broken.rupf"

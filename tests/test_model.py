@@ -143,6 +143,31 @@ class TestDecoder:
         assert mask[2, 0] == 0.0 and mask[1, 1] == 0.0
 
 
+class TestNamedParams:
+    def test_tiny_manifest_names_and_shapes(self):
+        """The checkpoint manifest: every tensor, in field order."""
+        attn = [(f"{w}{x}", shape) for x in "qkvo"
+                for w, shape in (("w", (4, 4)), ("b", (4,)))]
+        ff = [("w1", (4, 8)), ("b1", (8,)), ("w2", (8, 4)), ("b2", (4,))]
+
+        def ln(*names):
+            return [(f"{n}.{p}", (4,)) for n in names for p in ("gain", "bias")]
+
+        expected = (
+            [("embed.w_proj", (9, 4)), ("embed.b_proj", (4,)), ("embed.enc_pos", (2, 4)),
+             ("embed.dec_pos", (2, 4)), ("embed.month", (12, 4)), ("embed.weekday", (7, 4)),
+             ("embed.hour", (24, 4)), ("embed.minute", (4, 4)), ("embed.carrier", (21, 4))]
+            + [(f"enc.0.attn.{n}", s) for n, s in attn]
+            + [(f"enc.0.ff.{n}", s) for n, s in ff]
+            + [(f"enc.0.{n}", s) for n, s in ln("ln1", "ln2")]
+            + [(f"dec.0.self_attn.{n}", s) for n, s in attn]
+            + [(f"dec.0.cross_attn.{n}", s) for n, s in attn]
+            + [(f"dec.0.ff.{n}", s) for n, s in ff]
+            + [(f"dec.0.{n}", s) for n, s in ln("ln1", "ln2", "ln3")]
+            + [("head.w", (4, 11)), ("head.b", (11,))])
+        assert [(n, p.shape) for n, p in tiny_model().named_params()] == expected
+
+
 class TestTeacherForcing:
     def test_step0_continuous_input_is_zero(self):
         model = tiny_model()
@@ -186,6 +211,20 @@ class TestInferenceBlock:
         b = model.forward_block(enc_x, enc_meta, dec_meta)
         np.testing.assert_array_equal(a.det, b.det)
         np.testing.assert_array_equal(a.quantiles, b.quantiles)
+
+    def test_equals_training_forward_on_zero_targets(self):
+        """Both passes share one forward: with zero targets the teacher-forced
+        decoder inputs are the block's zeros, so only the sort and clip differ."""
+        hp = Hyperparams()
+        T.seed_all(8)
+        model = ForecastModel(hp)
+        enc_x, enc_meta, targets, dec_meta = make_batch(hp, batch=5, seed=21)
+        out = model.forward_block(enc_x, enc_meta, dec_meta)
+        det, quant = model.forward_training(enc_x, enc_meta, np.zeros_like(targets),
+                                            dec_meta, training=False)
+        np.testing.assert_array_equal(out.det, det.data)
+        np.testing.assert_array_equal(
+            out.quantiles, np.clip(np.sort(quant.data, axis=-1), 0.0, 1.0))
 
     def test_quantiles_monotone_and_bounded(self):
         hp = Hyperparams()

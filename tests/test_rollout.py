@@ -147,6 +147,20 @@ class TestRollout:
 
 
 class TestForecastCsv:
+    def test_no_kpi_outside_the_training_range(self, tmp_path):
+        """det outside [0, 1] is clipped before denormalizing, so no column
+        holds a negative count that `load_csv` would reject."""
+        model = make_model(seed=13)
+        window, meta = make_window(seed=14)
+        times, q, det = roll(model, window, meta, 96)
+        assert (det < 0).any() and (det > 1).any()  # the case under test occurs
+        norm = Normalizer(mins=np.full(8, 2.0), maxs=np.full(8, 12.0))
+        path = tmp_path / "forecast.csv"
+        forecast_to_csv(times, 2, q, det, norm, str(path))
+        with open(path) as f:
+            kpis = np.array([row[5:] for row in list(csv.reader(f))[1:]], dtype=float)
+        assert kpis.min() == 2.0 and kpis.max() == 12.0
+
     def test_csv_layout(self, tmp_path):
         model = make_model(seed=13)
         window, meta = make_window(seed=14)
@@ -168,10 +182,10 @@ class TestForecastCsv:
                 b = datetime.fromisoformat(ts.replace("Z", "+00:00"))
                 assert b - a == timedelta(minutes=15)
             prev = ts
-        # every value is the rollout's, quantiles as they are, KPIs inverted
-        # one step at a time
+        # every value is the rollout's, quantiles as they are, KPIs clipped
+        # to [0, 1] and inverted one step at a time
         for i, row in enumerate(rows[1:]):
             assert row[1] == "2"
             assert row[2:5] == [f"{v:.6f}" for v in q[i].tolist()]
-            kpis = norm.invert(np.concatenate([det[i], [q[i, 1]]]))[:8]
+            kpis = norm.invert(np.concatenate([np.clip(det[i], 0.0, 1.0), [q[i, 1]]]))[:8]
             assert row[5:] == [f"{v:.6f}" for v in kpis.tolist()]

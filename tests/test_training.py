@@ -332,8 +332,9 @@ class TestCheckpoint:
         lambda h: {**h, "hyperparams": {**h["hyperparams"], "width": 64}},
         lambda h: {**h, "train_config": {**h["train_config"], "lr": -1.0}},
         lambda h: {**h, "manifest": [{}] + h["manifest"][1:]},
+        lambda h: {**h, "hyperparams": {**h["hyperparams"], "quantiles": [0.05, 0.5, 0.95]}},
     ], ids=["no_manifest", "list", "str_d_emb", "bad_heads", "unknown_hp",
-            "negative_lr", "empty_entry"])
+            "negative_lr", "empty_entry", "other_quantiles"])
     def test_malformed_header_rejected(self, tmp_path, edit):
         path = tmp_path / "model.ckpt"
         path.write_bytes(_edit_header(checkpoint_bytes(*self._trained()), edit))
