@@ -120,6 +120,8 @@ def load_csv(path: str) -> list[KpiSeries]:
                 cells.extend(map(float, row[2:]))
             except ValueError as e:
                 raise IngestionError(f"{path}:{lineno}: {e}") from None
+    if not stamps:
+        raise IngestionError(f"{path}: no data rows after the header")
 
     def reject(bad: np.ndarray, message):
         """Raise for the first row of `bad` (row-major), naming its line."""
@@ -247,8 +249,12 @@ class Normalizer:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Normalizer":
-        return cls(mins=np.asarray(d["mins"], dtype=np.float64),
-                   maxs=np.asarray(d["maxs"], dtype=np.float64))
+        mins = np.asarray(d["mins"], dtype=np.float64)
+        maxs = np.asarray(d["maxs"], dtype=np.float64)
+        if not (mins.shape == maxs.shape == (N_DET_FEATURES,)
+                and np.isfinite([mins, maxs]).all() and (maxs >= mins).all()):
+            raise ValueError(f"normalizer needs {N_DET_FEATURES} finite mins <= maxs")
+        return cls(mins=mins, maxs=maxs)
 
 
 def sample_dtype(n_past: int, n_future: int) -> np.dtype:

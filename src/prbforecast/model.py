@@ -5,8 +5,8 @@ decoder whose layers run causal self-attention, cross-attention over the
 encoder output, and a position-wise feed-forward block. The head maps each
 decoder position to 8 deterministic KPI values plus 3 residual-PRB
 quantiles (q = 0.1, 0.5, 0.9). At inference the quantiles are sorted
-ascending and clipped to [0,1]; training sees the raw head outputs so each
-pinball term keeps its own gradient.
+ascending and clipped to [0,1]; the training loss sees the raw head outputs
+so each pinball term keeps its own gradient.
 """
 
 from __future__ import annotations
@@ -218,7 +218,7 @@ class ForecastModel:
 
     def decode(self, z: Tensor, dec_tokens: Tensor,
                training: bool = False) -> tuple[Tensor, Tensor]:
-        """Returns raw (det, quantile) head outputs as tensors."""
+        """Raw (det, quantile) head outputs: the operands of `total_loss`."""
         hp = self.hp
         mask = causal_mask(dec_tokens.shape[1])
         x = dec_tokens

@@ -36,27 +36,13 @@ def get_rng() -> np.random.Generator:
     return _rng
 
 
-class Tape:
-    """Ordered record of differentiable ops; inputs always precede outputs."""
-
-    def __init__(self):
-        self._ops = []  # list of (out_tensor, backward_fn)
-
-    def record(self, out, backward_fn):
-        self._ops.append((out, backward_fn))
-
-    def __len__(self):
-        return len(self._ops)
-
-    def clear(self):
-        self._ops.clear()
-
-
-_tape = Tape()
+# Ordered record of differentiable ops as (out_tensor, backward_fn) pairs;
+# inputs always precede outputs.
+_tape: list = []
 _grad_enabled = True
 
 
-def tape() -> Tape:
+def tape() -> list:
     return _tape
 
 
@@ -111,7 +97,7 @@ def _result(data, inputs, backward_fn) -> Tensor:
     track = _grad_enabled and any(t.requires_grad for t in inputs)
     out = Tensor(data, requires_grad=track, dtype=data.dtype)
     if track:
-        _tape.record(out, backward_fn)
+        _tape.append((out, backward_fn))
     return out
 
 
@@ -462,7 +448,7 @@ def backward(loss: Tensor) -> None:
     if len(_tape) == 0:
         raise AutodiffError("tape is empty: run a forward pass before backward")
     loss.grad = np.ones_like(loss.data)
-    for out, fn in reversed(_tape._ops):
+    for out, fn in reversed(_tape):
         if out.grad is not None:
             fn(out.grad)
     _tape.clear()

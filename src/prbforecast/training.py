@@ -1,6 +1,6 @@
-"""Training: weighted MSE + pinball objective, Adam with decoupled weight
-decay and global-norm gradient clipping, epoch loop with chronological
-validation and early stopping, and a binary checkpoint format.
+"""Training: weighted MSE + pinball objective as one tape op, Adam with
+decoupled weight decay and global-norm gradient clipping, epoch loop with
+chronological validation and early stopping, and a binary checkpoint format.
 
 Checkpoint layout: magic ``RUPF``, u32 LE version, u32 LE header length, a
 UTF-8 JSON header (hyperparams, train config, normalizer, tensor manifest,
@@ -55,10 +55,10 @@ class TrainConfig:
     def validate(self):
         for name in ("epochs", "batch_size", "lr", "clip_norm", "patience",
                      "alpha", "beta"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.weight_decay < 0 or self.min_delta < 0:
-            raise ValueError("weight_decay and min_delta must be nonnegative")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not (0 <= self.weight_decay < np.inf and 0 <= self.min_delta < np.inf):
+            raise ValueError("weight_decay and min_delta must be nonnegative and finite")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -70,37 +70,43 @@ class TrainConfig:
         return cfg
 
 
-# -- losses ---------------------------------------------------------------
-
-def pinball_loss(y: Tensor, y_hat: Tensor, q: float) -> Tensor:
-    """Mean quantile loss: q*(y - ŷ) when under-predicting, (1-q)*(ŷ - y)
-    otherwise. Its minimizer over a sample is the empirical q-quantile."""
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"quantile must be in (0,1), got {q}")
-    under = T.relu(T.sub(y, y_hat))
-    over = T.relu(T.sub(y_hat, y))
-    return T.mean(T.add(T.scale(under, q), T.scale(over, 1.0 - q)))
-
+# -- loss -----------------------------------------------------------------
 
 def total_loss(det: Tensor, quant: Tensor, targets: np.ndarray,
                alpha: float, beta: float, quantiles=QUANTILES) -> Tensor:
     """alpha * MSE over the 8 deterministic KPI columns plus beta * summed
-    pinball losses over the residual column."""
+    mean pinball losses of each quantile column against the residual column:
+    q*(y - ŷ) when under-predicting, (1-q)*(ŷ - y) otherwise. One tape op;
+    for det and quant of one dtype (slices of one head output) its value and
+    gradients are bit-identical to the same loss composed from tensor ops."""
     n_det = det.shape[-1]
     if targets.shape[:-1] != det.shape[:-1] or targets.shape[-1] != n_det + 1:
         raise T.ShapeError(f"target shape {targets.shape} does not match "
                            f"head output {det.shape}")
     dtype = det.data.dtype
-    det_target = Tensor(targets[..., :n_det], dtype=dtype)
-    residual = Tensor(targets[..., n_det], dtype=dtype)
-    err = T.sub(det, det_target)
-    mse = T.mean(T.mul(err, err))
-    loss = T.scale(mse, alpha)
+    err = det.data - np.asarray(targets[..., :n_det], dtype=dtype)
+    loss = (err * err).mean() * dtype.type(alpha)
+    residual = np.asarray(targets[..., n_det], dtype=dtype)
+    signs = []  # per quantile column: (y > pred, y < pred)
     for i, q in enumerate(quantiles):
-        pred_q = T.slice_lastdim(quant, i, i + 1)
-        pred_q = T.reshape(pred_q, residual.shape)
-        loss = T.add(loss, T.scale(pinball_loss(residual, pred_q, q), beta))
-    return loss
+        under = residual - quant.data[..., i]
+        over = quant.data[..., i] - residual
+        s = np.maximum(under, 0) * dtype.type(q) + np.maximum(over, 0) * dtype.type(1.0 - q)
+        loss = loss + s.mean() * dtype.type(beta)
+        signs.append((under > 0, over > 0))
+
+    def backward(g):
+        if det.requires_grad:
+            d_err = g * alpha / err.size * err
+            T._accumulate(det, d_err + d_err)
+        if quant.requires_grad:
+            c = g * beta / residual.size
+            d_quant = np.zeros_like(quant.data)
+            for i, (q, (above, below)) in enumerate(zip(quantiles, signs)):
+                d_quant[..., i] += c * (1.0 - q) * below - c * q * above
+            T._accumulate(quant, d_quant)
+
+    return T._result(loss, (det, quant), backward)
 
 
 # -- optimizer ------------------------------------------------------------

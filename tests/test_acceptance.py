@@ -17,13 +17,12 @@ from prbforecast.data import (Normalizer, calendar_meta, chronological_split,
 from prbforecast.embedding import embed_tokens
 from prbforecast.metrics import (anchor_positions, evaluate, hit_probability,
                                  mae)
-from prbforecast.model import ForecastModel, Hyperparams, param_count
+from prbforecast.model import QUANTILES, ForecastModel, Hyperparams, param_count
 from prbforecast.rollout import rollout, window_from_records
 from prbforecast.synth import default_profiles, generate
 from prbforecast.training import (TrainConfig, adam_step, AdamState,
                                   checkpoint_bytes, load_checkpoint,
-                                  pinball_loss, save_checkpoint, total_loss,
-                                  train)
+                                  save_checkpoint, total_loss, train)
 
 from conftest import central_diff
 
@@ -86,28 +85,29 @@ def test_criterion_1_full_gradient_check():
 
 
 def test_criterion_2_pinball_recovers_quantiles():
-    """Minimizing mean pinball loss over a constant predictor recovers the
-    empirical quantile of the sample within 0.02 of a grid-search oracle."""
+    """Minimizing the training loss over constant quantile predictors (KPI
+    columns exact, residual column set to the sample) recovers each
+    empirical quantile within 0.02 of a grid-search oracle."""
     rng = np.random.default_rng(123)
     sample = rng.beta(2.0, 5.0, size=1001).astype(np.float64)
-    y = T.Tensor(sample.reshape(-1, 1), dtype=np.float64)
+    targets = np.zeros((sample.size, 1, 9))
+    targets[:, 0, 8] = sample
+    det = T.Tensor(np.zeros((sample.size, 1, 8)), dtype=np.float64)
+    zeros = T.Tensor(np.zeros((sample.size, 1, 3)), dtype=np.float64)
+    theta = T.Tensor(np.full(3, 0.5), requires_grad=True, dtype=np.float64)
+    state = AdamState([theta])
+    for _ in range(2000):
+        T.backward(total_loss(det, T.add(zeros, theta), targets, 0.9, 1.2))
+        adam_step([theta], state, lr=5e-3)
+        theta.grad = None
     grid = np.linspace(0.0, 1.0, 4001)
     ok = True
-    for q in (0.1, 0.5, 0.9):
+    for q, estimate in zip(QUANTILES, theta.data):
         # independent oracle: exhaustive search over a fine grid
         losses = [np.mean(q * np.maximum(sample - g, 0)
                           + (1 - q) * np.maximum(g - sample, 0)) for g in grid]
         oracle = grid[int(np.argmin(losses))]
-        theta = T.Tensor(np.full((1, 1), 0.5), requires_grad=True,
-                         dtype=np.float64)
-        state = AdamState([theta])
-        for _ in range(2000):
-            pred = T.add(theta, T.Tensor(np.zeros_like(sample).reshape(-1, 1),
-                                         dtype=np.float64))
-            T.backward(T.mean(pinball_loss(y, pred, q)))
-            adam_step([theta], state, lr=5e-3)
-            theta.grad = None
-        if abs(float(theta.data[0, 0]) - oracle) > 0.02:
+        if abs(float(estimate) - oracle) > 0.02:
             ok = False
     report(2, "pinball training matches grid-search quantile oracle", ok)
 

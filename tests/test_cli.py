@@ -163,6 +163,15 @@ class TestTrain:
         assert "quantiles" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_csv_without_data_rows_is_usage_error(self, workspace, tmp_path, capsys):
+        data = tmp_path / "header_only.csv"
+        data.write_text(workspace["data"].read_text().splitlines()[0] + "\n")
+        out = tmp_path / "m.rupf"
+        assert main(["train", "--data", str(data), "--config", str(workspace["config"]),
+                     "--out", str(out)]) == 1
+        assert f"{data}: no data rows" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_data_file_is_io_error(self, workspace, tmp_path):
         assert main(["train", "--data", str(tmp_path / "absent.csv"),
                      "--config", str(workspace["config"]),
@@ -200,6 +209,22 @@ class TestForecast:
                      "--from", "2024-01-05T00:15:00Z", "--horizon", "3",
                      "--out", str(out)]) == 1
         assert "not found in the data" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_normalizer_in_checkpoint_is_usage_error(self, workspace, tmp_path):
+        """A header whose normalizer holds NaN (JSON accepts the literal) is
+        rejected at load time instead of writing NaN forecasts."""
+        blob = workspace["model"].read_bytes()
+        n = struct.unpack("<I", blob[8:12])[0]
+        header = json.loads(blob[12:12 + n])
+        header["normalizer"]["mins"][0] = float("nan")
+        raw = json.dumps(header).encode()
+        broken = tmp_path / "nan_mins.rupf"
+        broken.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + n:])
+        out = tmp_path / "fc.csv"
+        assert main(["forecast", "--model", str(broken), "--data", str(workspace["data"]),
+                     "--carrier", "0", "--from", "2024-01-03T00:00:00Z",
+                     "--horizon", "4", "--out", str(out)]) == 1
         assert not out.exists()
 
     def test_insufficient_history_is_usage_error(self, workspace, tmp_path):

@@ -192,13 +192,17 @@ class TestTeacherForcing:
 
 class TestTapeOps:
     def test_default_training_forward_records_few_ops(self):
-        """Projections and attention blocks are fused tape ops (93 here);
-        composing them from matmul, add, reshape, etc. would record 266."""
+        """Projections, attention blocks and the loss are fused tape ops: the
+        forward records 93 and the loss one more. Composing them from matmul,
+        add, reshape, etc. would record 306."""
         hp = Hyperparams()
         T.seed_all(0)
         model = ForecastModel(hp)
-        model.forward_training(*make_batch(hp, batch=400), training=True)
-        assert len(T.tape()) <= 130
+        enc_x, enc_meta, targets, dec_meta = make_batch(hp, batch=400)
+        det, quant = model.forward_training(enc_x, enc_meta, targets, dec_meta,
+                                            training=True)
+        total_loss(det, quant, targets, 0.9, 1.2)
+        assert len(T.tape()) <= 94
 
 
 class TestInferenceBlock:

@@ -6,20 +6,17 @@ import pytest
 
 from prbforecast import tensor as T
 from prbforecast.data import Normalizer, sample_dtype
-from prbforecast.model import ForecastModel, Hyperparams
+from prbforecast.model import QUANTILES, ForecastModel, Hyperparams
 from prbforecast.tensor import Tensor
 from prbforecast.training import (AdamState, CheckpointError, TrainConfig,
                                   TrainingError, adam_step, checkpoint_bytes,
                                   clip_gradients, load_checkpoint,
-                                  pinball_loss, save_checkpoint, total_loss,
-                                  train)
+                                  save_checkpoint, total_loss, train)
+
+from conftest import central_diff
 
 TINY = Hyperparams(d_emb=4, n_enc_layers=1, n_dec_layers=1, heads=2, d_ff=8,
                    n_past=2, n_future=2)
-
-
-def scalar(v, grad=False):
-    return Tensor(np.array([v], dtype=np.float32), requires_grad=grad)
 
 
 def make_samples(n, hp=TINY, seed=0):
@@ -41,37 +38,98 @@ def make_samples(n, hp=TINY, seed=0):
 
 
 class TestPinball:
+    """The pinball part of `total_loss`, one quantile column at a time: the
+    KPI columns and the other quantile columns equal the truth, so only
+    column i contributes, with beta = 1."""
+
+    @staticmethod
+    def pinball(y, pred, i):
+        y = np.asarray(y, dtype=np.float32).reshape(-1, 1)
+        targets = np.zeros(y.shape + (9,), dtype=np.float32)
+        targets[..., 8] = y
+        quant = np.repeat(y[..., None], 3, axis=-1)
+        quant[..., i] = pred
+        det = Tensor(np.zeros(y.shape + (8,), dtype=np.float32))
+        return float(total_loss(det, Tensor(quant), targets, 0.9, 1.0).data)
+
     def test_exact_hit_is_zero(self):
-        loss = pinball_loss(scalar(1.0), scalar(1.0), 0.5)
-        assert float(loss.data) == 0.0
+        assert self.pinball([1.0], 1.0, 1) == 0.0
 
     def test_underprediction_penalty(self):
-        loss = pinball_loss(scalar(1.0), scalar(0.6), 0.9)
-        assert float(loss.data) == pytest.approx(0.9 * 0.4, abs=1e-7)
+        assert self.pinball([1.0], 0.6, 2) == pytest.approx(0.9 * 0.4, abs=1e-7)
 
     def test_overprediction_penalty(self):
-        loss = pinball_loss(scalar(0.2), scalar(0.6), 0.9)
-        assert float(loss.data) == pytest.approx(0.1 * 0.4, abs=1e-7)
-
-    def test_invalid_quantile(self):
-        with pytest.raises(ValueError):
-            pinball_loss(scalar(0.0), scalar(0.0), 1.0)
+        assert self.pinball([0.2], 0.6, 2) == pytest.approx(0.1 * 0.4, abs=1e-7)
 
     def test_minimizer_is_empirical_quantile_by_grid_search(self):
         # with q*n an integer the pinball minimizer is a flat interval of
         # constants; the empirical quantile must attain the grid minimum
         sample = np.arange(0.05, 1.0, 0.1)
-        y = Tensor(sample.astype(np.float32))
         candidates = np.arange(0.0, 1.0001, 0.005)
-        for q in (0.1, 0.5, 0.9):
+        for i, q in enumerate(QUANTILES):
             with T.no_grad():
-                losses = [float(pinball_loss(
-                    y, Tensor(np.full_like(sample, c, dtype=np.float32)), q).data)
-                    for c in candidates]
-                at_quantile = float(pinball_loss(
-                    y, Tensor(np.full_like(sample, np.quantile(sample, q),
-                                           dtype=np.float32)), q).data)
+                losses = [self.pinball(sample, c, i) for c in candidates]
+                at_quantile = self.pinball(sample, np.quantile(sample, q), i)
             assert at_quantile <= min(losses) + 1e-6
+
+
+def composed_total_loss(det, quant, targets, alpha, beta):
+    """The objective built from separate tensor ops: the reference the fused
+    `total_loss` must match bit for bit."""
+    dtype = det.data.dtype
+    det_target = Tensor(targets[..., :8], dtype=dtype)
+    residual = Tensor(targets[..., 8], dtype=dtype)
+    err = T.sub(det, det_target)
+    loss = T.scale(T.mean(T.mul(err, err)), alpha)
+    for i, q in enumerate(QUANTILES):
+        pred = T.reshape(T.slice_lastdim(quant, i, i + 1), residual.shape)
+        under = T.relu(T.sub(residual, pred))
+        over = T.relu(T.sub(pred, residual))
+        pinball = T.mean(T.add(T.scale(under, q), T.scale(over, 1.0 - q)))
+        loss = T.add(loss, T.scale(pinball, beta))
+    return loss
+
+
+class TestFusedLoss:
+    @staticmethod
+    def _inputs(dtype, batch=400, steps=2, seed=0):
+        """A head output as in training (float32 targets; a float64 head
+        comes from the float64 causal mask), with exact ties in both parts."""
+        rng = np.random.default_rng(seed)
+        targets = rng.random((batch, steps, 9)).astype(np.float32)
+        head = rng.random((batch, steps, 11)).astype(dtype)
+        head[::7, :, 2] = targets[::7, :, 2]
+        head[::5, :, 9] = targets[::5, :, 8]
+        head[::11, :, 8] = targets[::11, :, 8]
+        return head, targets
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bitwise_equal_to_composed_ops(self, dtype):
+        head_data, targets = self._inputs(dtype)
+        results = []
+        for loss_fn in (composed_total_loss, total_loss):
+            head = Tensor(head_data, requires_grad=True, dtype=dtype)
+            det, quant = T.slice_lastdim(head, 0, 8), T.slice_lastdim(head, 8, 11)
+            loss = loss_fn(det, quant, targets, 0.9, 1.2)
+            T.backward(T.scale(loss, 0.7))  # an upstream gradient other than 1
+            results.append((loss.data, det.grad, quant.grad, head.grad))
+        for want, got in zip(*results):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_gradcheck(self):
+        rng = np.random.default_rng(4)
+        targets = rng.random((3, 2, 9))
+        # keep every quantile prediction at least 0.05 from its target, so
+        # the finite differences never step across a pinball kink
+        gaps = rng.uniform(0.05, 0.3, (3, 2, 3)) * rng.choice([-1.0, 1.0], (3, 2, 3))
+        det = Tensor(rng.random((3, 2, 8)), requires_grad=True, dtype=np.float64)
+        quant = Tensor(targets[..., 8:9] + gaps, requires_grad=True, dtype=np.float64)
+        numeric = central_diff(
+            lambda: float(total_loss(det, quant, targets, 0.9, 1.2).data), [det, quant])
+        T.backward(total_loss(det, quant, targets, 0.9, 1.2))
+        np.testing.assert_allclose(det.grad, numeric[0], rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(quant.grad, numeric[1], rtol=1e-6, atol=1e-9)
 
 
 class TestTotalLoss:
@@ -333,8 +391,13 @@ class TestCheckpoint:
         lambda h: {**h, "train_config": {**h["train_config"], "lr": -1.0}},
         lambda h: {**h, "manifest": [{}] + h["manifest"][1:]},
         lambda h: {**h, "hyperparams": {**h["hyperparams"], "quantiles": [0.05, 0.5, 0.95]}},
+        lambda h: {**h, "normalizer": {**h["normalizer"],
+                                       "mins": [float("nan")] + h["normalizer"]["mins"][1:]}},
+        lambda h: {**h, "normalizer": {**h["normalizer"], "mins": h["normalizer"]["mins"][:3]}},
+        lambda h: {**h, "train_config": {**h["train_config"], "lr": float("nan")}},
     ], ids=["no_manifest", "list", "str_d_emb", "bad_heads", "unknown_hp",
-            "negative_lr", "empty_entry", "other_quantiles"])
+            "negative_lr", "empty_entry", "other_quantiles", "nan_mins",
+            "short_mins", "nan_lr"])
     def test_malformed_header_rejected(self, tmp_path, edit):
         path = tmp_path / "model.ckpt"
         path.write_bytes(_edit_header(checkpoint_bytes(*self._trained()), edit))
