@@ -106,6 +106,7 @@ def load_csv(path: str) -> list[KpiSeries]:
     carrier_id ascending, time-ordered on a gapless grid. A rejected row is
     named by its `path:line:`, a gap or duplicate by carrier and instant."""
     stamps, carriers, cells = [], [], []
+    instants = {}  # timestamp text -> instant; carriers repeat each instant
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         header = next(reader, None)
@@ -115,7 +116,10 @@ def load_csv(path: str) -> list[KpiSeries]:
             if len(row) != len(CSV_HEADER) or "" in row:
                 raise IngestionError(f"{path}:{lineno}: missing field")
             try:
-                stamps.append(to_datetime64(parse_timestamp(row[0])))
+                stamp = instants.get(row[0])
+                if stamp is None:
+                    stamp = instants[row[0]] = to_datetime64(parse_timestamp(row[0]))
+                stamps.append(stamp)
                 carriers.append(int(row[1]))
                 cells.extend(map(float, row[2:]))
             except ValueError as e:

@@ -16,6 +16,7 @@ from .tensor import Tensor
 
 TABLE_ROWS = {"month": 12, "weekday": 7, "hour": 24, "minute": 4, "carrier": N_CARRIERS}
 META_ORDER = ("month", "weekday", "hour", "minute", "carrier")
+META_ROWS = np.array([TABLE_ROWS[name] for name in META_ORDER], dtype=np.uint64)
 
 
 def _uniform(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
@@ -74,16 +75,45 @@ def embed_tokens(tables: EmbeddingTables, features: np.ndarray, meta: np.ndarray
             f"of length {pos_table.shape[0]}")
     if meta.shape != (batch, steps, len(META_ORDER)):
         raise T.ShapeError(f"meta shape {meta.shape} does not match features")
-    for i, name in enumerate(META_ORDER):
-        col = meta[..., i]
-        if col.min() < 0 or col.max() >= TABLE_ROWS[name]:
-            raise IndexError(f"{name} index out of range: "
-                             f"[{col.min()}, {col.max()}] vs {TABLE_ROWS[name]} rows")
-
     x = Tensor(features, dtype=tables.w_proj.data.dtype)
-    out = T.linear(x, tables.w_proj, tables.b_proj)
-    positions = np.broadcast_to(np.arange(steps), (batch, steps))
-    out = T.add(out, T.embedding_lookup(pos_table, positions))
-    for i, name in enumerate(META_ORDER):
-        out = T.add(out, T.embedding_lookup(getattr(tables, name), meta[..., i]))
+    out = embedding_sum(T.linear(x, tables.w_proj, tables.b_proj), pos_table, tables, meta)
     return T.dropout(out, dropout_rate, training)
+
+
+def embedding_sum(proj: Tensor, pos_table: Tensor, tables: EmbeddingTables,
+                  meta: np.ndarray) -> Tensor:
+    """(B, T, d) `proj` plus each step's `pos_table` row, then the month,
+    weekday, hour, minute and carrier rows that (B, T, 5) `meta` names, added
+    in that order as one tape op. Value and gradients are bit-identical to the
+    chain of `add(out, embedding_lookup(table, idx))` ops; each table gets
+    the same one-hot GEMM gradient. An index outside its table raises
+    IndexError naming the first such table."""
+    meta = np.asarray(meta, dtype=np.int64)
+    # Viewed as uint64 a negative index wraps above every table size, so one
+    # compare checks both bounds.
+    bad = meta.view(np.uint64) >= META_ROWS
+    if bad.any():
+        i = int(np.argmax(bad.reshape(-1, len(META_ORDER)).any(axis=0)))
+        col, name = meta[..., i], META_ORDER[i]
+        raise IndexError(f"{name} index out of range: "
+                         f"[{col.min()}, {col.max()}] vs {TABLE_ROWS[name]} rows")
+    lookups = [(pos_table, np.arange(proj.shape[1]))]
+    lookups += [(getattr(tables, name), meta[..., i]) for i, name in enumerate(META_ORDER)]
+    out = proj.data
+    dtypes = [out.dtype]  # of each partial sum, as the chain's add outputs
+    for table, idx in lookups:
+        out = out + table.data[idx]
+        dtypes.append(out.dtype)
+
+    def backward(g):
+        # Walk the chain backwards, rounding g to each partial sum's dtype.
+        for (table, idx), dtype in zip(reversed(lookups), reversed(dtypes[:-1])):
+            if table.requires_grad:
+                flat = np.broadcast_to(idx, g.shape[:-1]).reshape(-1)
+                one_hot = (flat[:, None] == np.arange(table.shape[0])).astype(table.dtype)
+                rows_grad = g.astype(table.dtype, copy=False).reshape(-1, g.shape[-1])
+                T._accumulate(table, one_hot.T @ rows_grad)
+            g = g.astype(dtype, copy=False)
+        T._accumulate(proj, g)
+
+    return T._result(out, (proj, *(table for table, _ in lookups)), backward)

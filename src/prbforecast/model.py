@@ -211,9 +211,9 @@ class ForecastModel:
         x = tokens
         for layer in self.enc_layers:
             a = _attention(layer.attn, x, x, hp.heads, None, hp.dropout, training)
-            x = T.layer_norm(T.add(x, a), layer.ln1.gain, layer.ln1.bias)
+            x = T.layer_norm(x, layer.ln1.gain, layer.ln1.bias, residual=a)
             f = _feed_forward(layer.ff, x, hp.dropout, training)
-            x = T.layer_norm(T.add(x, f), layer.ln2.gain, layer.ln2.bias)
+            x = T.layer_norm(x, layer.ln2.gain, layer.ln2.bias, residual=f)
         return x
 
     def decode(self, z: Tensor, dec_tokens: Tensor,
@@ -224,11 +224,11 @@ class ForecastModel:
         x = dec_tokens
         for layer in self.dec_layers:
             a = _attention(layer.self_attn, x, x, hp.heads, mask, hp.dropout, training)
-            x = T.layer_norm(T.add(x, a), layer.ln1.gain, layer.ln1.bias)
+            x = T.layer_norm(x, layer.ln1.gain, layer.ln1.bias, residual=a)
             c = _attention(layer.cross_attn, x, z, hp.heads, None, hp.dropout, training)
-            x = T.layer_norm(T.add(x, c), layer.ln2.gain, layer.ln2.bias)
+            x = T.layer_norm(x, layer.ln2.gain, layer.ln2.bias, residual=c)
             f = _feed_forward(layer.ff, x, hp.dropout, training)
-            x = T.layer_norm(T.add(x, f), layer.ln3.gain, layer.ln3.bias)
+            x = T.layer_norm(x, layer.ln3.gain, layer.ln3.bias, residual=f)
         out = T.linear(x, self.w_head, self.b_head)
         return (T.slice_lastdim(out, 0, N_DET_FEATURES),
                 T.slice_lastdim(out, N_DET_FEATURES, out.shape[-1]))

@@ -415,29 +415,46 @@ def attention(params, q_in: Tensor, kv_in: Tensor, heads: int,
     return _result(data, inputs, backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5,
+               residual: Tensor | None = None) -> Tensor:
+    """Normalize the last axis of `x` (of `x + residual` when a residual of
+    the same shape is given, as one op), then scale by `gain` and shift by
+    `bias`. The residual form is bit-identical to `layer_norm(add(x, r))`."""
     d = x.shape[-1]
     if d == 0:
         raise ShapeError("layer_norm over an empty last dimension")
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm gain/bias must have shape ({d},), "
                          f"got {gain.shape} and {bias.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
+    if residual is None:
+        s, inputs = x.data, (x, gain, bias)
+    elif residual.shape == x.shape:
+        s, inputs = x.data + residual.data, (x, residual, gain, bias)
+    else:
+        raise ShapeError(f"layer_norm residual {residual.shape} does not match {x.shape}")
+    # add.reduce / d and xhat * xhat give the bits of mean() and ** 2, and
+    # centring and scaling in place (never in x's own array) the bits of
+    # fresh arrays, with fewer large temporaries to allocate.
+    mu = np.add.reduce(s, axis=-1, keepdims=True) / d
+    xhat = s - mu if residual is None else np.subtract(s, mu, out=s)
+    var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / d
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv_std
+    xhat *= inv_std
     data = gain.data * xhat + bias.data
 
     def backward(g):
         dxhat = g * gain.data
         dx = inv_std * (dxhat - dxhat.mean(axis=-1, keepdims=True)
                         - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+        dx = dx.astype(xhat.dtype, copy=False)  # the sum's own grad, as `add` rounds it
         _accumulate(x, dx)
+        if residual is not None:
+            _accumulate(residual, dx)
         lead = tuple(range(g.ndim - 1))
         _accumulate(gain, (g * xhat).sum(axis=lead))
         _accumulate(bias, g.sum(axis=lead))
 
-    return _result(data, (x, gain, bias), backward)
+    return _result(data, inputs, backward)
 
 
 def backward(loss: Tensor) -> None:

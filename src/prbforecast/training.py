@@ -15,6 +15,7 @@ import logging
 import os
 import struct
 import tempfile
+import time
 import zlib
 from dataclasses import asdict, dataclass
 
@@ -191,8 +192,10 @@ def train(train_samples: np.ndarray, val_samples: np.ndarray,
     history: list[dict] = []
 
     for epoch in range(1, cfg.epochs + 1):
+        epoch_start = time.perf_counter()
         order = np.random.default_rng((cfg.seed, epoch)).permutation(len(train_samples))
         epoch_losses = []
+        clipped = 0
         for start in range(0, len(order), cfg.batch_size):
             enc_x, enc_meta, targets, dec_meta = batch_samples(
                 train_samples[order[start:start + cfg.batch_size]])
@@ -208,7 +211,7 @@ def train(train_samples: np.ndarray, val_samples: np.ndarray,
             except BaseException:
                 T.tape().clear()  # drop the failed step's ops and activations
                 raise
-            clip_gradients(params, cfg.clip_norm)
+            clipped += clip_gradients(params, cfg.clip_norm) < 1.0
             adam_step(params, state, cfg.lr, weight_decay=cfg.weight_decay)
             epoch_losses.append(value * len(targets))
         train_loss = sum(epoch_losses) / len(train_samples)
@@ -226,8 +229,10 @@ def train(train_samples: np.ndarray, val_samples: np.ndarray,
         stopped = stale_epochs >= cfg.patience
         history.append({"epoch": epoch, "train_loss": train_loss,
                         "val_loss": val_loss, "lr": cfg.lr, "stopped": stopped})
-        log.info("epoch %d: train %.6f val %.6f%s", epoch, train_loss, val_loss,
-                 " (stopping)" if stopped else "")
+        epoch_s = time.perf_counter() - epoch_start
+        log.info("epoch %d: train %.6f val %.6f, %.3f s, %.0f samples/s, clip rate %.3f%s",
+                 epoch, train_loss, val_loss, epoch_s, len(train_samples) / epoch_s,
+                 clipped / len(epoch_losses), " (stopping)" if stopped else "")
         if stopped:
             break
 

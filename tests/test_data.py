@@ -181,6 +181,22 @@ class TestCsvRoundtrip:
         with pytest.raises(IngestionError, match=re.escape(f"{path}:4: {message}")):
             load_csv(str(path))
 
+    @pytest.mark.parametrize("stamp, message", [
+        ("2024-03-04T25:00:00Z", "malformed timestamp '2024-03-04T25:00:00Z'"),
+        ("2024-03-04T00:37:00Z", "timestamp '2024-03-04T00:37:00Z' not on the 15-minute grid"),
+    ], ids=["malformed_timestamp", "off_grid_timestamp"])
+    def test_repeated_bad_timestamp_names_its_first_line(self, tmp_path, stamp, message):
+        """Carriers repeat each instant, and load_csv parses each distinct
+        timestamp text once; a bad one is still reported at its first line."""
+        path = tmp_path / "bad.csv"
+        save_csv([make_series(5, 0), make_series(5, 1)], str(path))
+        lines = path.read_text().splitlines()
+        for i in (3, 8):  # the third instant of carrier 0, then of carrier 1
+            lines[i] = ",".join([stamp] + lines[i].split(",")[1:])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(IngestionError, match=re.escape(f"{path}:4: {message}")):
+            load_csv(str(path))
+
     def test_bad_header_names_path_and_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         save_csv([make_series(5)], str(path))

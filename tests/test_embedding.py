@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from prbforecast import tensor as T
-from prbforecast.embedding import EmbeddingTables, embed_tokens
+from prbforecast.embedding import META_ORDER, EmbeddingTables, embed_tokens, embedding_sum
 from prbforecast.model import Hyperparams
+
+from conftest import assert_grads_close, central_diff
 
 
 def make_tables(d_emb=8, n_past=4, n_future=2, seed=0):
@@ -94,6 +96,74 @@ def test_meta_out_of_range_rejected():
     meta[..., 0] = 12
     with pytest.raises(IndexError, match="month"):
         embed_tokens(tables, features, meta, "encoder")
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({4: 21}, r"carrier index out of range: \[\d+, 21\] vs 21 rows"),
+    ({2: -1}, r"hour index out of range: \[-1, \d+\] vs 24 rows"),
+    ({4: 21, 2: -1}, r"hour index out of range"),  # the first bad table is named
+], ids=["carrier_21", "negative_hour", "first_of_two"])
+def test_meta_out_of_range_names_the_table_and_its_rows(bad, message):
+    tables = make_tables()
+    features, meta = make_inputs()
+    for column, value in bad.items():
+        meta[0, 1, column] = value
+    with pytest.raises(IndexError, match=message):
+        embed_tokens(tables, features, meta, "encoder")
+
+
+def composed_embedding_sum(proj, pos_table, tables, meta):
+    """The per-table op chain that `embedding_sum` replaces."""
+    positions = np.broadcast_to(np.arange(proj.shape[1]), proj.shape[:2])
+    out = T.add(proj, T.embedding_lookup(pos_table, positions))
+    for i, name in enumerate(META_ORDER):
+        out = T.add(out, T.embedding_lookup(getattr(tables, name), meta[..., i]))
+    return out
+
+
+def table_leaves(tables):
+    return [tables.enc_pos] + [getattr(tables, name) for name in META_ORDER]
+
+
+@pytest.mark.parametrize("proj_dtype", [np.float32, np.float64])
+def test_embedding_sum_is_bitwise_equal_to_the_lookup_chain(proj_dtype):
+    """At B=400 with float32 tables, for a float32 projection as in the model
+    and a float64 one (mixed precision)."""
+    features, meta = make_inputs(batch=400, steps=4, seed=7)
+    rng = np.random.default_rng(8)
+    proj_data = rng.standard_normal((400, 4, 64))
+    probe = T.Tensor(rng.standard_normal((400, 4, 64)))
+    results = []
+    for op in (composed_embedding_sum, embedding_sum):
+        tables = make_tables(d_emb=64, seed=9)
+        proj = T.Tensor(proj_data, requires_grad=True, dtype=proj_dtype)
+        out = op(proj, tables.enc_pos, tables, meta)
+        T.backward(T.tsum(T.mul(out, probe)))
+        results.append([out.data, proj.grad] + [t.grad for t in table_leaves(tables)])
+    for want, got in zip(*results):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_embedding_sum_gradient_matches_finite_differences():
+    tables = make_tables(d_emb=3, seed=10)
+    leaves = table_leaves(tables)
+    for t in leaves:
+        t.data = t.data.astype(np.float64)
+    _, meta = make_inputs(batch=2, steps=4, seed=11)
+    rng = np.random.default_rng(12)
+    proj = T.Tensor(rng.standard_normal((2, 4, 3)), requires_grad=True, dtype=np.float64)
+    probe = T.Tensor(rng.standard_normal((2, 4, 3)), dtype=np.float64)
+    leaves = [proj] + leaves
+
+    def loss():
+        return float((embedding_sum(proj, tables.enc_pos, tables, meta).data
+                      * probe.data).sum())
+
+    numeric = central_diff(loss, leaves)
+    T.backward(T.tsum(T.mul(embedding_sum(proj, tables.enc_pos, tables, meta), probe)))
+    for leaf, num in zip(leaves, numeric):
+        assert_grads_close(leaf.grad, num)
 
 
 def test_table_row_gradient_only_for_used_indices():

@@ -253,6 +253,11 @@ class TestLayerNorm:
         with pytest.raises(ShapeError):
             T.layer_norm(Tensor(np.zeros((2, 0))), Tensor(np.zeros(0)), Tensor(np.zeros(0)))
 
+    def test_residual_of_another_shape_is_an_error(self):
+        with pytest.raises(ShapeError, match="residual"):
+            T.layer_norm(Tensor(np.zeros((2, 4))), Tensor(np.ones(4)), Tensor(np.zeros(4)),
+                         residual=Tensor(np.zeros((1, 4))))
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         x = f64_tensor(rng, (3, 6))
@@ -269,6 +274,54 @@ class TestLayerNorm:
         assert_grads_close(x.grad, numeric[0])
         assert_grads_close(gain.grad, numeric[1])
         assert_grads_close(bias.grad, numeric[2])
+
+    def test_residual_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(7)
+        x, r = f64_tensor(rng, (3, 6)), f64_tensor(rng, (3, 6))
+        gain, bias = f64_tensor(rng, (6,)), f64_tensor(rng, (6,))
+        w = rng.standard_normal((3, 6))
+        leaves = [x, r, gain, bias]
+
+        def loss():
+            return float((T.layer_norm(x, gain, bias, residual=r).data * w).sum())
+
+        numeric = central_diff(loss, leaves)
+        out = T.layer_norm(x, gain, bias, residual=r)
+        T.backward(T.tsum(T.mul(out, Tensor(w, dtype=np.float64))))
+        for leaf, num in zip(leaves, numeric):
+            assert_grads_close(leaf.grad, num)
+
+    @pytest.mark.parametrize("x_dtype, r_dtype", [
+        (np.float32, np.float32), (np.float32, np.float64), (np.float64, np.float64)])
+    def test_residual_is_bitwise_equal_to_add_then_norm(self, x_dtype, r_dtype):
+        """As in the model at B=400: float32 throughout in the encoder; in the
+        decoder float64 activations (from the float64 causal mask) meet
+        float32 gain and bias."""
+        rng = np.random.default_rng(6)
+        shape = (400, 4, 64)
+        probe = Tensor(rng.standard_normal(shape))
+        x_data, r_data = rng.standard_normal(shape), rng.standard_normal(shape)
+        gain_data, bias_data = rng.standard_normal(64), rng.standard_normal(64)
+        results = []
+        for fused in (False, True):
+            x = Tensor(x_data, requires_grad=True, dtype=x_dtype)
+            r = Tensor(r_data, requires_grad=True, dtype=r_dtype)
+            gain = Tensor(gain_data, requires_grad=True)
+            bias = Tensor(bias_data, requires_grad=True)
+            out = (T.layer_norm(x, gain, bias, residual=r) if fused
+                   else T.layer_norm(T.add(x, r), gain, bias))
+            T.backward(T.tsum(T.mul(out, probe)))
+            results.append((out.data, x.grad, r.grad, gain.grad, bias.grad))
+        for want, got in zip(*results):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        # the forward in mean() and ** 2, as the op computed it before
+        s = x_data.astype(x_dtype) + r_data.astype(r_dtype)
+        mu = s.mean(axis=-1, keepdims=True)
+        var = ((s - mu) ** 2).mean(axis=-1, keepdims=True)
+        xhat = (s - mu) * (1.0 / np.sqrt(var + 1e-5))
+        want = gain_data.astype(np.float32) * xhat + bias_data.astype(np.float32)
+        assert results[1][0].tobytes() == want.tobytes()
 
 
 class TestElementwise:

@@ -1,4 +1,6 @@
 import json
+import logging
+import re
 import struct
 
 import numpy as np
@@ -301,6 +303,24 @@ class TestTrainLoop:
         model, history = train(make_samples(8), make_samples(4), TINY, cfg)
         for p, best in zip(model.params(), snapshots[0.4]):
             np.testing.assert_array_equal(p.data, best)
+
+    def test_one_log_record_per_epoch_with_time_throughput_and_clip_rate(
+            self, monkeypatch, caplog):
+        import prbforecast.training as tr
+        scales = iter([0.5, 1.0, 1.0] * 3)  # one clipped step of three per epoch
+        monkeypatch.setattr(tr, "clip_gradients", lambda *a: next(scales))
+        cfg = TrainConfig(epochs=3, batch_size=4, lr=1e-3, patience=10, seed=2)
+        with caplog.at_level(logging.INFO, logger="prbforecast.training"):
+            _, history = train(make_samples(12), make_samples(4, seed=1), TINY, cfg)
+        records = [r for r in caplog.records if r.name == "prbforecast.training"]
+        assert len(records) == len(history) == 3
+        for epoch, record in enumerate(records, start=1):
+            m = re.fullmatch(r"epoch (\d+): train \S+ val \S+, (\S+) s, "
+                             r"(\d+) samples/s, clip rate (\S+)", record.getMessage())
+            assert m, record.getMessage()
+            assert int(m[1]) == epoch
+            assert float(m[2]) > 0 and int(m[3]) > 0
+            assert m[4] == "0.333"
 
     def test_empty_split_rejected(self):
         with pytest.raises(ValueError):
