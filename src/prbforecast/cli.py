@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 
@@ -20,7 +19,7 @@ from . import metrics as M
 from . import synth
 from .data import (STEP, IngestionError, Normalizer, chronological_split,
                    load_csv, make_samples, parse_timestamp, save_csv, to_datetime64)
-from .model import ForecastModel, Hyperparams
+from .model import Hyperparams, read_settings
 from .rollout import forecast_to_csv, rollout, window_from_records
 from .synth import STEPS_PER_DAY
 from .training import (CheckpointError, TrainConfig, TrainingError,
@@ -38,61 +37,23 @@ class UsageError(ValueError):
     pass
 
 
-def _check_number(key: str, value, integer: bool) -> None:
-    """Reject a config value that is not a finite JSON number, or not an
-    integer where `integer`; true/false are not numbers here."""
-    kinds = int if integer else (int, float)
-    if (isinstance(value, bool) or not isinstance(value, kinds)
-            or isinstance(value, float) and not math.isfinite(value)):
-        kind = "an integer" if integer else "a finite number"
-        raise UsageError(f"config key {key!r} must be {kind}, got {value!r}")
-
-
 DEFAULT_SPLIT = {"train_days": 150, "val_days": 15, "test_days": 15}
 
 
 class RunConfig:
-    """JSON run configuration; unknown keys are rejected and absent keys
-    fall back to the default model/training configuration."""
-
-    SECTIONS = {"hyperparams", "train", "split", "seed"}
+    """JSON run configuration: `hyperparams` and `train` are read by their
+    dataclasses, `split` and `seed` by the same typed check. Unknown keys are
+    rejected and absent keys take the defaults."""
 
     def __init__(self, doc: dict | None = None):
         doc = {} if doc is None else doc
-        if not isinstance(doc, dict):
-            raise UsageError("config must be a JSON object")
-        unknown = set(doc) - self.SECTIONS
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        self.hyperparams = self._merge(Hyperparams().to_dict(),
-                                       doc.get("hyperparams", {}), "hyperparams")
-        self.train = self._merge(TrainConfig().to_dict(), doc.get("train", {}), "train")
-        self.split = self._merge(dict(DEFAULT_SPLIT), doc.get("split", {}), "split")
-        self.seed = doc.get("seed", 0)
-        _check_number("seed", self.seed, integer=True)
+        top = read_settings("", {"hyperparams": {}, "train": {}, "split": {}, "seed": 0}, doc)
+        self.hyperparams = Hyperparams.from_dict(top["hyperparams"])
+        self.train = TrainConfig.from_dict(top["train"])
+        self.split = read_settings("split", DEFAULT_SPLIT, top["split"])
+        self.seed = top["seed"]
         if "seed" in doc:
-            self.train["seed"] = doc["seed"]
-
-    @staticmethod
-    def _merge(defaults: dict, overrides: dict, section: str) -> dict:
-        if not isinstance(overrides, dict):
-            raise UsageError(f"config section {section!r} must be a JSON object")
-        unknown = set(overrides) - set(defaults)
-        if unknown:
-            raise UsageError(f"unknown keys in config section {section!r}: "
-                             f"{sorted(unknown)}")
-        for key, value in overrides.items():
-            default = defaults[key]
-            if isinstance(default, (int, float)):
-                _check_number(f"{section}.{key}", value, isinstance(default, int))
-            elif isinstance(default, list):
-                if not isinstance(value, list):
-                    raise UsageError(f"config key '{section}.{key}' must be a list")
-                for v in value:
-                    _check_number(f"{section}.{key}", v, integer=False)
-        out = dict(defaults)
-        out.update(overrides)
-        return out
+            self.train.seed = self.seed
 
     @classmethod
     def load(cls, path: str | None) -> "RunConfig":
@@ -104,12 +65,6 @@ class RunConfig:
             except json.JSONDecodeError as e:
                 raise UsageError(f"{path}: invalid JSON: {e}") from None
         return cls(doc)
-
-    def hp(self) -> Hyperparams:
-        return Hyperparams.from_dict(self.hyperparams)
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig.from_dict(self.train)
 
 
 def _require_new_file(path: str, force: bool):
@@ -134,8 +89,7 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     config = RunConfig.load(args.config)
-    hp = config.hp()
-    cfg = config.train_config()
+    hp, cfg = config.hyperparams, config.train
     series = load_csv(args.data)
 
     split = config.split

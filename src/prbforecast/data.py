@@ -229,23 +229,20 @@ class Normalizer:
                             "it will normalize to 0", name)
         return cls(mins=mins, maxs=maxs)
 
-    def _spans(self) -> np.ndarray:
-        span = self.maxs - self.mins
-        return np.where(span > 0, span, 1.0)
-
     def apply(self, features: np.ndarray) -> np.ndarray:
         """Map raw 9-column features to [0,1]; residual column untouched."""
         out = np.array(features, dtype=np.float64, copy=True)
-        cols = out[..., :N_DET_FEATURES]
-        scaled = (cols - self.mins) / self._spans()
         span = self.maxs - self.mins
-        scaled = np.where(span > 0, scaled, 0.0)
-        out[..., :N_DET_FEATURES] = np.clip(scaled, 0.0, 1.0)
+        live = span > 0
+        scaled = (out[..., :N_DET_FEATURES] - self.mins) / np.where(live, span, 1.0)
+        out[..., :N_DET_FEATURES] = np.clip(np.where(live, scaled, 0.0), 0.0, 1.0)
         return out
 
     def invert(self, features: np.ndarray) -> np.ndarray:
         out = np.array(features, dtype=np.float64, copy=True)
-        out[..., :N_DET_FEATURES] = out[..., :N_DET_FEATURES] * self._spans() + self.mins
+        span = self.maxs - self.mins
+        out[..., :N_DET_FEATURES] = (out[..., :N_DET_FEATURES] * np.where(span > 0, span, 1.0)
+                                     + self.mins)
         return out
 
     def to_dict(self) -> dict:

@@ -11,6 +11,7 @@ so each pinball term keeps its own gradient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 from typing import ClassVar
 
@@ -37,12 +38,12 @@ class Hyperparams:
     quantiles: ClassVar[tuple] = QUANTILES  # fixed head layout, not a setting
 
     def validate(self):
-        if self.d_emb % self.heads != 0:
-            raise ValueError(f"d_emb {self.d_emb} not divisible by heads {self.heads}")
         for name in ("d_emb", "n_enc_layers", "n_dec_layers", "heads", "d_ff",
                      "n_past", "n_future"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.d_emb % self.heads != 0:
+            raise ValueError(f"d_emb {self.d_emb} not divisible by heads {self.heads}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0,1)")
 
@@ -50,14 +51,43 @@ class Hyperparams:
         return {**asdict(self), "quantiles": list(QUANTILES)}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Hyperparams":
-        d = dict(d)
-        quantiles = d.pop("quantiles", QUANTILES)
+    def from_dict(cls, doc) -> "Hyperparams":
+        """Validated hyperparameters from the `hyperparams` JSON object of a
+        config file or a checkpoint header; absent keys take the defaults."""
+        d = read_settings("hyperparams", cls().to_dict(), doc)
+        quantiles = d.pop("quantiles")
         if not isinstance(quantiles, (list, tuple)) or tuple(quantiles) != QUANTILES:
-            raise ValueError(f"quantiles are fixed at {list(QUANTILES)}, got {quantiles!r}")
+            raise ValueError(f"config key 'hyperparams.quantiles' is fixed at "
+                             f"{list(QUANTILES)}, got {quantiles!r}")
         hp = cls(**d)
         hp.validate()
         return hp
+
+
+def read_settings(section: str, defaults: dict, doc) -> dict:
+    """`defaults` updated from the JSON object `doc`, the one type check of
+    config files and checkpoint headers. Each key of `doc` must be a key of
+    `defaults`; where the default is an int the value must be an integer,
+    where it is a float a finite number (true/false are neither); other
+    values pass unchecked. Errors are ValueErrors naming 'section.key'
+    (plain 'key' when `section` is "", the top level of a config)."""
+    prefix = f"{section}." if section else ""
+    if not isinstance(doc, dict):
+        raise ValueError(f"config section {section!r} must be a JSON object" if section
+                         else "config must be a JSON object")
+    unknown = set(doc) - set(defaults)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(prefix + k for k in unknown)}")
+    for key, value in doc.items():
+        default = defaults[key]
+        if not isinstance(default, (int, float)):
+            continue
+        integer = isinstance(default, int)
+        if (isinstance(value, bool) or not isinstance(value, int if integer else (int, float))
+                or isinstance(value, float) and not math.isfinite(value)):
+            kind = "an integer" if integer else "a finite number"
+            raise ValueError(f"config key {prefix + key!r} must be {kind}, got {value!r}")
+    return {**defaults, **doc}
 
 
 def named_tensors(node, prefix: str) -> list[tuple[str, Tensor]]:

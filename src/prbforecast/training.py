@@ -23,7 +23,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import Normalizer, batch_samples
-from .model import QUANTILES, ForecastModel, Hyperparams
+from .model import QUANTILES, ForecastModel, Hyperparams, param_count, read_settings
 from .tensor import Tensor
 
 log = logging.getLogger(__name__)
@@ -65,8 +65,10 @@ class TrainConfig:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        cfg = cls(**d)
+    def from_dict(cls, doc) -> "TrainConfig":
+        """Validated training configuration from the `train` JSON object of
+        a config file or a checkpoint header; absent keys take the defaults."""
+        cfg = cls(**read_settings("train", cls().to_dict(), doc))
         cfg.validate()
         return cfg
 
@@ -112,6 +114,11 @@ def total_loss(det: Tensor, quant: Tensor, targets: np.ndarray,
 
 # -- optimizer ------------------------------------------------------------
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class AdamState:
     def __init__(self, params: list[Tensor]):
         self.m = [np.zeros_like(p.data) for p in params]
@@ -120,7 +127,6 @@ class AdamState:
 
 
 def adam_step(params: list[Tensor], state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
               weight_decay: float = 0.0) -> None:
     """Bias-corrected Adam with decoupled weight decay applied before the
     Adam delta. Raises on NaN gradients."""
@@ -134,11 +140,11 @@ def adam_step(params: list[Tensor], state: AdamState, lr: float,
             raise TrainingError("NaN or Inf gradient encountered")
         if weight_decay:
             p.data *= np.float32(1.0 - lr * weight_decay)
-        state.m[i] = beta1 * state.m[i] + (1 - beta1) * g
-        state.v[i] = beta2 * state.v[i] + (1 - beta2) * g * g
-        m_hat = state.m[i] / (1 - beta1 ** t)
-        v_hat = state.v[i] / (1 - beta2 ** t)
-        p.data -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(p.data.dtype)
+        state.m[i] = ADAM_BETA1 * state.m[i] + (1 - ADAM_BETA1) * g
+        state.v[i] = ADAM_BETA2 * state.v[i] + (1 - ADAM_BETA2) * g * g
+        m_hat = state.m[i] / (1 - ADAM_BETA1 ** t)
+        v_hat = state.v[i] / (1 - ADAM_BETA2 ** t)
+        p.data -= (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.data.dtype)
 
 
 def clip_gradients(params: list[Tensor], max_norm: float = 1.0) -> float:
@@ -331,6 +337,9 @@ def _restore(header: dict, payload: bytes, path: str):
         raise CheckpointError(f"{path}: payload CRC mismatch")
 
     hp = Hyperparams.from_dict(header["hyperparams"])
+    if 4 * param_count(hp) != len(payload):  # checked before the model is allocated
+        raise ValueError(f"hyperparams need {4 * param_count(hp)} payload bytes, "
+                         f"found {len(payload)}")
     cfg = TrainConfig.from_dict(header["train_config"])
     normalizer = (Normalizer.from_dict(header["normalizer"])
                   if header["normalizer"] is not None else None)

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -46,3 +49,10 @@ def assert_grads_close(analytic, numeric, rtol=1e-3, atol=1e-5):
 def f64_tensor(rng, shape, requires_grad=True, scale=1.0):
     return T.Tensor(rng.standard_normal(shape) * scale,
                     requires_grad=requires_grad, dtype=np.float64)
+
+
+def edit_header(blob: bytes, edit) -> bytes:
+    """Checkpoint bytes with the JSON header `h` replaced by `edit(h)`."""
+    n = struct.unpack("<I", blob[8:12])[0]
+    raw = json.dumps(edit(json.loads(blob[12:12 + n]))).encode()
+    return blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + n:]

@@ -1,12 +1,13 @@
 import csv
 import json
 import os
-import struct
 
 import pytest
 
 from prbforecast.cli import main
 from prbforecast.training import load_checkpoint
+
+from conftest import edit_header
 
 TINY_CONFIG = {
     "hyperparams": {"d_emb": 4, "n_enc_layers": 1, "n_dec_layers": 1,
@@ -214,17 +215,30 @@ class TestForecast:
     def test_non_finite_normalizer_in_checkpoint_is_usage_error(self, workspace, tmp_path):
         """A header whose normalizer holds NaN (JSON accepts the literal) is
         rejected at load time instead of writing NaN forecasts."""
-        blob = workspace["model"].read_bytes()
-        n = struct.unpack("<I", blob[8:12])[0]
-        header = json.loads(blob[12:12 + n])
-        header["normalizer"]["mins"][0] = float("nan")
-        raw = json.dumps(header).encode()
         broken = tmp_path / "nan_mins.rupf"
-        broken.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + n:])
+        broken.write_bytes(edit_header(
+            workspace["model"].read_bytes(),
+            lambda h: {**h, "normalizer": {**h["normalizer"], "mins": [float("nan")]
+                                           + h["normalizer"]["mins"][1:]}}))
         out = tmp_path / "fc.csv"
         assert main(["forecast", "--model", str(broken), "--data", str(workspace["data"]),
                      "--carrier", "0", "--from", "2024-01-03T00:00:00Z",
                      "--horizon", "4", "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_float_heads_in_checkpoint_is_usage_error(self, workspace, tmp_path, capsys):
+        """`d_emb % 2.0 == 0` holds, so only the typed check stops a float
+        head count before it reaches the attention reshape."""
+        broken = tmp_path / "float_heads.rupf"
+        broken.write_bytes(edit_header(
+            workspace["model"].read_bytes(),
+            lambda h: {**h, "hyperparams": {**h["hyperparams"], "heads": 2.0}}))
+        out = tmp_path / "fc.csv"
+        assert main(["forecast", "--model", str(broken), "--data", str(workspace["data"]),
+                     "--carrier", "0", "--from", "2024-01-03T00:00:00Z",
+                     "--horizon", "4", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'hyperparams.heads'" in err
         assert not out.exists()
 
     def test_insufficient_history_is_usage_error(self, workspace, tmp_path):
@@ -282,13 +296,10 @@ class TestEval:
 
 
     def test_malformed_checkpoint_header_is_usage_error(self, workspace, tmp_path):
-        blob = workspace["model"].read_bytes()
-        n = struct.unpack("<I", blob[8:12])[0]
-        header = json.loads(blob[12:12 + n])
-        del header["manifest"]
-        raw = json.dumps(header).encode()
         broken = tmp_path / "no_manifest.rupf"
-        broken.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + n:])
+        broken.write_bytes(edit_header(
+            workspace["model"].read_bytes(),
+            lambda h: {k: v for k, v in h.items() if k != "manifest"}))
         assert main(["eval", "--model", str(broken),
                      "--data", str(workspace["data"]), "--horizon", "8",
                      "--report", str(tmp_path / "r.json")]) == 1

@@ -1,7 +1,8 @@
-"""Mutated inputs through `cli.main`: a CSV, a config document or a
-checkpoint that may be malformed in any way ends in exit code 0 (still
-valid), 1 (usage or validation error) or 3 (I/O error), never in an
-uncaught exception. Derandomized, so every run tries the same inputs."""
+"""Mutated inputs through `cli.main`: a CSV, a config document, a
+checkpoint header or checkpoint bytes that may be malformed in any way ends
+in exit code 0 (still valid), 1 (usage or validation error) or 3 (I/O
+error), never in an uncaught exception. Derandomized, so every run tries
+the same inputs."""
 
 import json
 
@@ -14,6 +15,8 @@ from prbforecast.cli import main
 from prbforecast.data import Normalizer, load_csv
 from prbforecast.model import ForecastModel, Hyperparams
 from prbforecast.training import TrainConfig, save_checkpoint
+
+from conftest import edit_header
 
 TINY = Hyperparams(d_emb=4, n_enc_layers=1, n_dec_layers=1, heads=2, d_ff=8,
                    n_past=4, n_future=2)
@@ -102,4 +105,21 @@ def test_mutated_checkpoint_bytes(inputs, data):
         blob[at] ^= data.draw(st.integers(1, 255), label="xor")
     model = root / "mutated.rupf"
     model.write_bytes(bytes(blob))
+    assert forecast(root, root / "data.csv", model) in EXIT_CODES
+
+
+HEADER_KEYS = ([("hyperparams", k) for k in Hyperparams().to_dict()]
+               + [("train_config", k) for k in TrainConfig().to_dict()])
+
+
+@FUZZ
+@given(key=st.sampled_from(HEADER_KEYS), value=JSON)
+def test_mutated_checkpoint_header(inputs, key, value):
+    """One setting retyped in a well-formed header, which byte mutations
+    almost never produce."""
+    root, _, blob = inputs
+    section, name = key
+    model = root / "retyped.rupf"
+    model.write_bytes(edit_header(
+        blob, lambda h: {**h, section: {**h[section], name: value}}))
     assert forecast(root, root / "data.csv", model) in EXIT_CODES

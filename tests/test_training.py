@@ -1,7 +1,5 @@
-import json
 import logging
 import re
-import struct
 
 import numpy as np
 import pytest
@@ -15,7 +13,7 @@ from prbforecast.training import (AdamState, CheckpointError, TrainConfig,
                                   clip_gradients, load_checkpoint,
                                   save_checkpoint, total_loss, train)
 
-from conftest import central_diff
+from conftest import central_diff, edit_header
 
 TINY = Hyperparams(d_emb=4, n_enc_layers=1, n_dec_layers=1, heads=2, d_ff=8,
                    n_past=2, n_future=2)
@@ -253,13 +251,6 @@ class TestClip:
             assert np.linalg.norm(params[0].grad) <= before + 1e-6
 
 
-def _edit_header(blob: bytes, edit) -> bytes:
-    """Checkpoint bytes with the JSON header `h` replaced by `edit(h)`."""
-    n = struct.unpack("<I", blob[8:12])[0]
-    raw = json.dumps(edit(json.loads(blob[12:12 + n]))).encode()
-    return blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + n:]
-
-
 class TestTrainLoop:
     def test_patience_counting_stops_at_epoch_12(self, monkeypatch):
         # val losses 1.0 then 0.9 repeated: stop after 10 stale epochs
@@ -415,12 +406,20 @@ class TestCheckpoint:
                                        "mins": [float("nan")] + h["normalizer"]["mins"][1:]}},
         lambda h: {**h, "normalizer": {**h["normalizer"], "mins": h["normalizer"]["mins"][:3]}},
         lambda h: {**h, "train_config": {**h["train_config"], "lr": float("nan")}},
+        lambda h: {**h, "hyperparams": {**h["hyperparams"], "heads": 2.0}},
+        lambda h: {**h, "hyperparams": {**h["hyperparams"], "heads": True}},
+        lambda h: {**h, "hyperparams": {**h["hyperparams"], "heads": 0}},
+        lambda h: {**h, "hyperparams": {**h["hyperparams"], "n_enc_layers": True}},
+        lambda h: {**h, "hyperparams": {**h["hyperparams"], "d_ff": 2 ** 40}},
+        lambda h: {**h, "train_config": {**h["train_config"], "epochs": 1.5}},
+        lambda h: {**h, "train_config": {**h["train_config"], "seed": "1"}},
     ], ids=["no_manifest", "list", "str_d_emb", "bad_heads", "unknown_hp",
             "negative_lr", "empty_entry", "other_quantiles", "nan_mins",
-            "short_mins", "nan_lr"])
+            "short_mins", "nan_lr", "float_heads", "bool_heads", "zero_heads",
+            "bool_n_enc_layers", "huge_d_ff", "float_epochs", "str_seed"])
     def test_malformed_header_rejected(self, tmp_path, edit):
         path = tmp_path / "model.ckpt"
-        path.write_bytes(_edit_header(checkpoint_bytes(*self._trained()), edit))
+        path.write_bytes(edit_header(checkpoint_bytes(*self._trained()), edit))
         with pytest.raises(CheckpointError, match="malformed header"):
             load_checkpoint(str(path))
 
