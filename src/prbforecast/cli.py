@@ -13,12 +13,10 @@ import logging
 import os
 import sys
 
-import numpy as np
-
 from . import metrics as M
 from . import synth
 from .data import (STEP, IngestionError, Normalizer, chronological_split,
-                   load_csv, make_samples, parse_timestamp, save_csv, to_datetime64)
+                   format_instants, load_csv, make_samples, parse_timestamp, save_csv)
 from .model import Hyperparams, read_settings
 from .rollout import forecast_to_csv, rollout, window_from_records
 from .synth import STEPS_PER_DAY
@@ -119,15 +117,13 @@ def cmd_train(args) -> int:
 
 def cmd_forecast(args) -> int:
     model, cfg, normalizer = load_checkpoint(args.model)
-    if normalizer is None:
-        raise UsageError(f"{args.model} has no normalizer; cannot forecast raw data")
     if args.horizon < 1:
         raise UsageError("--horizon must be >= 1")
     series = {s.carrier_id: s for s in load_csv(args.data)}
     if args.carrier not in series:
         raise UsageError(f"carrier {args.carrier} not present in {args.data}")
     target = series[args.carrier]
-    start = to_datetime64(parse_timestamp(getattr(args, "from")))
+    start = parse_timestamp(getattr(args, "from"))
     at = int((start - target.times[0]) // STEP)
     if not 0 <= at <= len(target):  # at == len: forecast from the end of the data
         raise UsageError(f"--from {getattr(args, 'from')} not found in the data")
@@ -146,15 +142,13 @@ def cmd_forecast(args) -> int:
 
 def cmd_eval(args) -> int:
     model, cfg, normalizer = load_checkpoint(args.model)
-    if normalizer is None:
-        raise UsageError(f"{args.model} has no normalizer; cannot evaluate raw data")
     series = load_csv(args.data)
     report = M.evaluate(model, normalizer, series, args.horizon, args.anchors,
                         args.plot_dir)
     report["metadata"]["model_hash"] = M.model_hash(model, cfg, normalizer)
-    start, end = np.datetime_as_string([min(s.times[0] for s in series),
-                                        max(s.times[-1] for s in series)], unit="s")
-    report["metadata"]["data_span"] = {"start": f"{start}Z", "end": f"{end}Z"}
+    start, end = format_instants([min(s.times[0] for s in series),
+                                  max(s.times[-1] for s in series)])
+    report["metadata"]["data_span"] = {"start": start, "end": end}
     M.write_report(report, args.report)
     agg = report["aggregate"]
     print(f"mean MAE {agg['mean_mae']:.4f}, "
@@ -219,6 +213,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (UsageError, IngestionError, CheckpointError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as e:  # a requested size beyond memory
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return EXIT_USAGE
     except TrainingError as e:
         print(f"numerical failure: {e}", file=sys.stderr)

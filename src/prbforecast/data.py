@@ -44,7 +44,9 @@ def residual_ratio(n_total: int, n_used: float) -> float:
     return (n_total - n_used) / n_total
 
 
-def parse_timestamp(text: str) -> datetime:
+def parse_timestamp(text: str) -> np.datetime64:
+    """The instant of ISO-8601 `text` (UTC unless it names an offset) as
+    datetime64[m]; it must lie on the 15-minute grid."""
     try:
         ts = datetime.fromisoformat(text.replace("Z", "+00:00"))
         if ts.tzinfo is None:
@@ -54,12 +56,17 @@ def parse_timestamp(text: str) -> datetime:
         raise IngestionError(f"malformed timestamp {text!r}: {e}") from None
     if ts.minute % 15 != 0 or ts.second != 0 or ts.microsecond != 0:
         raise IngestionError(f"timestamp {text!r} not on the 15-minute grid")
-    return ts
+    return to_datetime64(ts)
 
 
 def to_datetime64(ts: datetime) -> np.datetime64:
     """The instant of an aware datetime as datetime64[m]."""
     return np.datetime64(int(ts.timestamp()) // 60, "m")
+
+
+def format_instants(times) -> list[str]:
+    """ISO-8601 UTC text (`2024-01-01T00:00:00Z`) of datetime64 instants."""
+    return [f"{stamp}Z" for stamp in np.datetime_as_string(times, unit="s").tolist()]
 
 
 @dataclass
@@ -75,11 +82,11 @@ class KpiSeries:
         bad = np.flatnonzero(np.diff(self.times) != STEP)
         if bad.size == 0:
             return
-        prev, cur = np.datetime_as_string(self.times[bad[0]:bad[0] + 2], unit="s")
+        prev, cur = format_instants(self.times[bad[0]:bad[0] + 2])
         if prev == cur:
-            raise IngestionError(f"carrier {self.carrier_id}: duplicate timestamp {prev}Z")
+            raise IngestionError(f"carrier {self.carrier_id}: duplicate timestamp {prev}")
         raise IngestionError(
-            f"carrier {self.carrier_id}: gap in 15-minute grid between {prev}Z and {cur}Z")
+            f"carrier {self.carrier_id}: gap in 15-minute grid between {prev} and {cur}")
 
     def __len__(self):
         return len(self.times)
@@ -118,7 +125,7 @@ def load_csv(path: str) -> list[KpiSeries]:
             try:
                 stamp = instants.get(row[0])
                 if stamp is None:
-                    stamp = instants[row[0]] = to_datetime64(parse_timestamp(row[0]))
+                    stamp = instants[row[0]] = parse_timestamp(row[0])
                 stamps.append(stamp)
                 carriers.append(int(row[1]))
                 cells.extend(map(float, row[2:]))
@@ -168,9 +175,9 @@ def save_csv(series_list: list[KpiSeries], path: str) -> int:
         writer = csv.writer(f)
         writer.writerow(CSV_HEADER)
         for series in sorted(series_list, key=lambda s: s.carrier_id):
-            stamps = np.datetime_as_string(series.times, unit="s")
-            writer.writerows([f"{stamp}Z", series.carrier_id] + [f"{v:.6f}" for v in row]
-                             for stamp, row in zip(stamps, series.values.tolist()))
+            writer.writerows([stamp, series.carrier_id] + [f"{v:.6f}" for v in row]
+                             for stamp, row in zip(format_instants(series.times),
+                                                   series.values.tolist()))
             rows += len(series)
     return rows
 

@@ -11,7 +11,7 @@ import os
 
 import numpy as np
 
-from .data import KpiSeries, Normalizer
+from .data import KpiSeries, Normalizer, format_instants
 from .model import ForecastModel
 from .rollout import rollout, window_from_records
 from .training import TrainConfig, atomic_write_bytes, checkpoint_bytes
@@ -124,7 +124,7 @@ def evaluate(model: ForecastModel, normalizer: Normalizer,
 
 
 def model_hash(model: ForecastModel, cfg: TrainConfig,
-               normalizer: Normalizer | None) -> str:
+               normalizer: Normalizer) -> str:
     return hashlib.sha256(checkpoint_bytes(model, cfg, normalizer)).hexdigest()
 
 
@@ -153,13 +153,13 @@ def emit_plot_svg(truth, times, carrier_id: int, quantiles, path: str,
         return " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(x.tolist(), ys.tolist()))
 
     band = points(quantiles[:, 2]) + " " + points(quantiles[::-1, 0], xs[::-1])
-    start, end = np.datetime_as_string(times[[0, -1]], unit="s")
+    start, end = format_instants(times[[0, -1]])
     svg = f"""<?xml version="1.0" encoding="UTF-8"?>
 <svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" viewBox="0 0 {width} {height}">
   <rect width="{width}" height="{height}" fill="white"/>
   <line x1="{margin}" y1="{height - margin}" x2="{width - margin}" y2="{height - margin}" stroke="black"/>
   <line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" stroke="black"/>
-  <text x="{margin}" y="20" font-size="13">carrier {carrier_id}: residual PRB, {start}Z to {end}Z</text>
+  <text x="{margin}" y="20" font-size="13">carrier {carrier_id}: residual PRB, {start} to {end}</text>
   <polygon points="{band}" fill="#7aa6d9" fill-opacity="0.35" stroke="none"/>
   <polyline points="{points(truth)}" fill="none" stroke="#222222" stroke-width="1.2"/>
   <polyline points="{points(quantiles[:, 1])}" fill="none" stroke="#d9662a" stroke-width="1.2"/>

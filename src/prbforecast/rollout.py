@@ -15,7 +15,7 @@ import csv
 import numpy as np
 
 from .data import (FEATURE_NAMES, N_DET_FEATURES, N_FEATURES, STEP, KpiSeries,
-                   Normalizer, calendar_meta)
+                   Normalizer, calendar_meta, format_instants)
 from .model import DecoderOutput, ForecastModel
 
 
@@ -75,11 +75,10 @@ def forecast_to_csv(times: np.ndarray, carrier_id: int, quantiles: np.ndarray,
     to native units, so no KPI falls outside the training range."""
     raw = normalizer.invert(np.concatenate([np.clip(det, 0.0, 1.0), quantiles[:, 1:2]],
                                            axis=1))
-    stamps = np.datetime_as_string(times, unit="s")
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["timestamp", "carrier_id", "q10", "q50", "q90"]
                         + FEATURE_NAMES)
-        writer.writerows([f"{stamp}Z", carrier_id] + [f"{v:.6f}" for v in q + kpis]
-                         for stamp, q, kpis in zip(stamps, quantiles.tolist(),
+        writer.writerows([stamp, carrier_id] + [f"{v:.6f}" for v in q + kpis]
+                         for stamp, q, kpis in zip(format_instants(times), quantiles.tolist(),
                                                    raw[:, :len(FEATURE_NAMES)].tolist()))

@@ -269,23 +269,26 @@ def atomic_write_bytes(path: str, blob: bytes) -> None:
         raise
 
 
-def checkpoint_bytes(model: ForecastModel, cfg: TrainConfig,
-                     normalizer: Normalizer | None) -> bytes:
-    manifest = []
-    payloads = []
-    offset = 0
+def _manifest(model: ForecastModel) -> list[dict]:
+    """The payload layout of `model`: one entry per tensor of `named_params()`,
+    little-endian f32 and back to back."""
+    manifest, offset = [], 0
     for name, p in model.named_params():
-        raw = np.ascontiguousarray(p.data.astype("<f4")).tobytes()
+        nbytes = 4 * p.data.size
         manifest.append({"name": name, "shape": list(p.shape),
-                         "offset": offset, "nbytes": len(raw)})
-        payloads.append(raw)
-        offset += len(raw)
-    payload = b"".join(payloads)
+                         "offset": offset, "nbytes": nbytes})
+        offset += nbytes
+    return manifest
+
+
+def checkpoint_bytes(model: ForecastModel, cfg: TrainConfig,
+                     normalizer: Normalizer) -> bytes:
+    payload = b"".join(p.data.astype("<f4").tobytes() for p in model.params())
     header = {
         "hyperparams": model.hp.to_dict(),
         "train_config": cfg.to_dict(),
-        "normalizer": normalizer.to_dict() if normalizer is not None else None,
-        "manifest": manifest,
+        "normalizer": normalizer.to_dict(),
+        "manifest": _manifest(model),
         "payload_crc32": zlib.crc32(payload),
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -295,11 +298,11 @@ def checkpoint_bytes(model: ForecastModel, cfg: TrainConfig,
 
 
 def save_checkpoint(path: str, model: ForecastModel, cfg: TrainConfig,
-                    normalizer: Normalizer | None) -> None:
+                    normalizer: Normalizer) -> None:
     atomic_write_bytes(path, checkpoint_bytes(model, cfg, normalizer))
 
 
-def load_checkpoint(path: str) -> tuple[ForecastModel, TrainConfig, Normalizer | None]:
+def load_checkpoint(path: str) -> tuple[ForecastModel, TrainConfig, Normalizer]:
     with open(path, "rb") as f:
         blob = f.read()
     if len(blob) < 12 or blob[:4] != CHECKPOINT_MAGIC:
@@ -324,36 +327,20 @@ def load_checkpoint(path: str) -> tuple[ForecastModel, TrainConfig, Normalizer |
 def _restore(header: dict, payload: bytes, path: str):
     """Model, config and normalizer from a decoded header and its payload;
     a header of the wrong shape raises KeyError, TypeError or ValueError."""
-    manifest = header["manifest"]
-    expected = 0
-    for entry in manifest:
-        if entry["offset"] != expected:
-            raise CheckpointError(f"{path}: manifest offsets not contiguous")
-        expected += entry["nbytes"]
-    if expected != len(payload):
-        raise CheckpointError(
-            f"{path}: payload size {len(payload)} disagrees with manifest {expected}")
     if zlib.crc32(payload) != header["payload_crc32"]:
         raise CheckpointError(f"{path}: payload CRC mismatch")
-
     hp = Hyperparams.from_dict(header["hyperparams"])
     if 4 * param_count(hp) != len(payload):  # checked before the model is allocated
         raise ValueError(f"hyperparams need {4 * param_count(hp)} payload bytes, "
                          f"found {len(payload)}")
     cfg = TrainConfig.from_dict(header["train_config"])
-    normalizer = (Normalizer.from_dict(header["normalizer"])
-                  if header["normalizer"] is not None else None)
+    normalizer = Normalizer.from_dict(header["normalizer"])
     model = ForecastModel(hp, rng=np.random.default_rng(0))
-    tensors = dict(model.named_params())
-    if set(tensors) != {e["name"] for e in manifest}:
-        raise CheckpointError(f"{path}: manifest tensor names do not match model")
-    for entry in manifest:
-        t = tensors[entry["name"]]
-        raw = payload[entry["offset"]:entry["offset"] + entry["nbytes"]]
-        arr = np.frombuffer(raw, dtype="<f4").reshape(entry["shape"])
-        if arr.shape != t.shape:
-            raise CheckpointError(
-                f"{path}: tensor {entry['name']} has shape {arr.shape}, "
-                f"expected {t.shape}")
-        t.data = arr.astype(np.float32).copy()
+    if header["manifest"] != _manifest(model):
+        raise ValueError("manifest differs from the tensor layout of the hyperparams")
+    values = np.frombuffer(payload, dtype="<f4").astype(np.float32)
+    at = 0
+    for p in model.params():
+        p.data = values[at:at + p.data.size].reshape(p.shape)
+        at += p.data.size
     return model, cfg, normalizer

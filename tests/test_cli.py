@@ -67,6 +67,14 @@ class TestGen:
         assert main(args) == 1
         assert main(args + ["--force"]) == 0
 
+    def test_days_beyond_memory_is_usage_error(self, tmp_path, capsys):
+        # 6 PiB of float64 values: the allocation fails at once, touching nothing
+        out = tmp_path / "gen.csv"
+        assert main(["gen", "--out", str(out), "--days", "1000000000000",
+                     "--carriers", "1", "--seed", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error: out of memory:")
+        assert not out.exists()
+
     def test_output_is_ingestible(self, tmp_path):
         from prbforecast.data import load_csv
         out = tmp_path / "gen.csv"
@@ -162,6 +170,17 @@ class TestTrain:
         assert main(["train", "--data", str(workspace["data"]),
                      "--config", str(config), "--out", str(out)]) == 1
         assert "quantiles" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_size_beyond_memory_is_usage_error(self, workspace, tmp_path, capsys):
+        # a (64, 2**40) float64 weight draw, 512 TiB: beyond any address space
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps({"hyperparams": {"d_ff": 2 ** 40},
+                                      "split": TINY_CONFIG["split"]}))
+        out = tmp_path / "m.rupf"
+        assert main(["train", "--data", str(workspace["data"]),
+                     "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: out of memory:")
         assert not out.exists()
 
     def test_csv_without_data_rows_is_usage_error(self, workspace, tmp_path, capsys):

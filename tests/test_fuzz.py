@@ -109,17 +109,29 @@ def test_mutated_checkpoint_bytes(inputs, data):
 
 
 HEADER_KEYS = ([("hyperparams", k) for k in Hyperparams().to_dict()]
-               + [("train_config", k) for k in TrainConfig().to_dict()])
+               + [("train_config", k) for k in TrainConfig().to_dict()]
+               + [(k,) for k in ("normalizer", "manifest", "payload_crc32")]
+               + [("manifest", i, k) for i in (0, -1)
+                  for k in ("name", "shape", "offset", "nbytes")])
+
+
+def replaced(node, path, value):
+    """A copy of JSON `node` with the item at key path `path` set to `value`."""
+    if not path:
+        return value
+    head, *rest = path
+    copy = list(node) if isinstance(node, list) else dict(node)
+    copy[head] = replaced(node[head], rest, value)
+    return copy
 
 
 @FUZZ
 @given(key=st.sampled_from(HEADER_KEYS), value=JSON)
 def test_mutated_checkpoint_header(inputs, key, value):
-    """One setting retyped in a well-formed header, which byte mutations
+    """One setting, the normalizer, the manifest, one field of a manifest
+    entry or the CRC replaced in a well-formed header, which byte mutations
     almost never produce."""
     root, _, blob = inputs
-    section, name = key
     model = root / "retyped.rupf"
-    model.write_bytes(edit_header(
-        blob, lambda h: {**h, section: {**h[section], name: value}}))
+    model.write_bytes(edit_header(blob, lambda h: replaced(h, key, value)))
     assert forecast(root, root / "data.csv", model) in EXIT_CODES

@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import re
 
@@ -350,6 +351,16 @@ class TestCheckpoint:
         b = loaded.forward_block(enc_x, meta, dec_meta)
         np.testing.assert_array_equal(a.det, b.det)
         np.testing.assert_array_equal(a.quantiles, b.quantiles)
+        assert checkpoint_bytes(loaded, cfg2, norm2) == path.read_bytes()
+
+    def test_untrained_tiny_bytes_are_pinned(self):
+        """The file format, pinned: a change to any written byte fails here.
+        No matrix product runs, so the bytes do not depend on BLAS."""
+        T.seed_all(0)
+        blob = checkpoint_bytes(ForecastModel(TINY), TrainConfig(epochs=2, seed=11),
+                                Normalizer(mins=np.arange(8.0), maxs=np.arange(8.0) + 2.0))
+        assert hashlib.sha256(blob).hexdigest() == (
+            "7455c345ea0ff26dea7f79a7e8de92e0a994a3e1a9d72b5b46308b24d89903c1")
 
     def test_payload_size_matches_param_count(self, tmp_path):
         from prbforecast.model import param_count
@@ -413,10 +424,18 @@ class TestCheckpoint:
         lambda h: {**h, "hyperparams": {**h["hyperparams"], "d_ff": 2 ** 40}},
         lambda h: {**h, "train_config": {**h["train_config"], "epochs": 1.5}},
         lambda h: {**h, "train_config": {**h["train_config"], "seed": "1"}},
+        lambda h: {**h, "manifest": [{**h["manifest"][0], "name": "embed.w_in"}]
+                   + h["manifest"][1:]},
+        lambda h: {**h, "manifest": [{**h["manifest"][0], "shape": [4, 9]}]
+                   + h["manifest"][1:]},
+        lambda h: {**h, "manifest": h["manifest"][:2] + h["manifest"][3:1:-1]
+                   + h["manifest"][4:]},
+        lambda h: {**h, "normalizer": None},
     ], ids=["no_manifest", "list", "str_d_emb", "bad_heads", "unknown_hp",
             "negative_lr", "empty_entry", "other_quantiles", "nan_mins",
             "short_mins", "nan_lr", "float_heads", "bool_heads", "zero_heads",
-            "bool_n_enc_layers", "huge_d_ff", "float_epochs", "str_seed"])
+            "bool_n_enc_layers", "huge_d_ff", "float_epochs", "str_seed",
+            "renamed_entry", "transposed_shape", "swapped_entries", "null_normalizer"])
     def test_malformed_header_rejected(self, tmp_path, edit):
         path = tmp_path / "model.ckpt"
         path.write_bytes(edit_header(checkpoint_bytes(*self._trained()), edit))
