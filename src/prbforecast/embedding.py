@@ -19,12 +19,6 @@ META_ORDER = ("month", "weekday", "hour", "minute", "carrier")
 META_ROWS = np.array([TABLE_ROWS[name] for name in META_ORDER], dtype=np.uint64)
 
 
-def _uniform(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
-    bound = 1.0 / np.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape).astype(np.float32),
-                  requires_grad=True)
-
-
 @dataclass
 class EmbeddingTables:
     w_proj: Tensor   # (9, d_emb)
@@ -38,18 +32,14 @@ class EmbeddingTables:
     carrier: Tensor  # (21, d_emb)
 
     @classmethod
-    def create(cls, d_emb: int, n_past: int, n_future: int,
-               rng: np.random.Generator) -> "EmbeddingTables":
+    def create(cls, d_emb: int, n_past: int, n_future: int, new) -> "EmbeddingTables":
+        """The tables from the tensor factory `new` (`model.drawing_factory`)."""
         return cls(
-            w_proj=_uniform(rng, (N_FEATURES, d_emb), N_FEATURES),
-            b_proj=Tensor(np.zeros(d_emb, dtype=np.float32), requires_grad=True),
-            enc_pos=_uniform(rng, (n_past, d_emb), d_emb),
-            dec_pos=_uniform(rng, (n_future, d_emb), d_emb),
-            month=_uniform(rng, (12, d_emb), d_emb),
-            weekday=_uniform(rng, (7, d_emb), d_emb),
-            hour=_uniform(rng, (24, d_emb), d_emb),
-            minute=_uniform(rng, (4, d_emb), d_emb),
-            carrier=_uniform(rng, (N_CARRIERS, d_emb), d_emb),
+            w_proj=new((N_FEATURES, d_emb), N_FEATURES),
+            b_proj=new((d_emb,)),
+            enc_pos=new((n_past, d_emb), d_emb),
+            dec_pos=new((n_future, d_emb), d_emb),
+            **{name: new((rows, d_emb), d_emb) for name, rows in TABLE_ROWS.items()},
         )
 
 

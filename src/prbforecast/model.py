@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import N_DET_FEATURES, N_FEATURES
-from .embedding import EmbeddingTables, _uniform, embed_tokens
+from .embedding import EmbeddingTables, embed_tokens
 from .tensor import Tensor
 
 QUANTILES = (0.1, 0.5, 0.9)
@@ -90,6 +90,21 @@ def read_settings(section: str, defaults: dict, doc) -> dict:
     return {**defaults, **doc}
 
 
+def drawing_factory(rng: np.random.Generator):
+    """The tensor factory of a fresh model: `new(shape, fan_in)` draws a weight
+    uniform in ±1/sqrt(fan_in) from `rng` (float64, cast to float32);
+    `new(shape, fill=...)` is constant (biases 0, layer-norm gains 1). Each
+    `create` makes its tensors in field order, the draw and payload order."""
+    def new(shape, fan_in=None, fill=0.0):
+        if fan_in is None:
+            return Tensor(np.full(shape, fill, dtype=np.float32), requires_grad=True)
+        bound = 1.0 / np.sqrt(fan_in)
+        return Tensor(rng.uniform(-bound, bound, size=shape).astype(np.float32),
+                      requires_grad=True)
+
+    return new
+
+
 def named_tensors(node, prefix: str) -> list[tuple[str, Tensor]]:
     """Every tensor under a parameter dataclass or a list of them, in field
     (or list) order, named by its dotted path from `prefix`."""
@@ -107,9 +122,8 @@ class LayerNormParams:
     bias: Tensor
 
     @classmethod
-    def create(cls, d: int) -> "LayerNormParams":
-        return cls(Tensor(np.ones(d, dtype=np.float32), requires_grad=True),
-                   Tensor(np.zeros(d, dtype=np.float32), requires_grad=True))
+    def create(cls, d: int, new) -> "LayerNormParams":
+        return cls(new((d,), fill=1.0), new((d,)))
 
 
 @dataclass
@@ -124,14 +138,9 @@ class AttentionParams:
     bo: Tensor
 
     @classmethod
-    def create(cls, d: int, rng) -> "AttentionParams":
-        def w():
-            return _uniform(rng, (d, d), d)
-
-        def b():
-            return Tensor(np.zeros(d, dtype=np.float32), requires_grad=True)
-
-        return cls(w(), b(), w(), b(), w(), b(), w(), b())
+    def create(cls, d: int, new) -> "AttentionParams":
+        # weight then bias, for each of q, k, v and the output projection
+        return cls(*[t for _ in "qkvo" for t in (new((d, d), d), new((d,)))])
 
 
 @dataclass
@@ -142,11 +151,8 @@ class FeedForwardParams:
     b2: Tensor
 
     @classmethod
-    def create(cls, d: int, d_ff: int, rng) -> "FeedForwardParams":
-        return cls(_uniform(rng, (d, d_ff), d),
-                   Tensor(np.zeros(d_ff, dtype=np.float32), requires_grad=True),
-                   _uniform(rng, (d_ff, d), d_ff),
-                   Tensor(np.zeros(d, dtype=np.float32), requires_grad=True))
+    def create(cls, d: int, d_ff: int, new) -> "FeedForwardParams":
+        return cls(new((d, d_ff), d), new((d_ff,)), new((d_ff, d), d_ff), new((d,)))
 
 
 @dataclass
@@ -157,11 +163,10 @@ class EncoderLayer:
     ln2: LayerNormParams
 
     @classmethod
-    def create(cls, hp, rng):
-        return cls(AttentionParams.create(hp.d_emb, rng),
-                   FeedForwardParams.create(hp.d_emb, hp.d_ff, rng),
-                   LayerNormParams.create(hp.d_emb),
-                   LayerNormParams.create(hp.d_emb))
+    def create(cls, hp, new):
+        return cls(AttentionParams.create(hp.d_emb, new),
+                   FeedForwardParams.create(hp.d_emb, hp.d_ff, new),
+                   *[LayerNormParams.create(hp.d_emb, new) for _ in range(2)])
 
 
 @dataclass
@@ -174,13 +179,10 @@ class DecoderLayer:
     ln3: LayerNormParams
 
     @classmethod
-    def create(cls, hp, rng):
-        return cls(AttentionParams.create(hp.d_emb, rng),
-                   AttentionParams.create(hp.d_emb, rng),
-                   FeedForwardParams.create(hp.d_emb, hp.d_ff, rng),
-                   LayerNormParams.create(hp.d_emb),
-                   LayerNormParams.create(hp.d_emb),
-                   LayerNormParams.create(hp.d_emb))
+    def create(cls, hp, new):
+        return cls(*[AttentionParams.create(hp.d_emb, new) for _ in range(2)],
+                   FeedForwardParams.create(hp.d_emb, hp.d_ff, new),
+                   *[LayerNormParams.create(hp.d_emb, new) for _ in range(3)])
 
 
 @dataclass
@@ -209,18 +211,20 @@ def _feed_forward(params: FeedForwardParams, x: Tensor,
 
 class ForecastModel:
     """All learnable state plus the forward passes (teacher-forced and
-    autoregressive block inference)."""
+    autoregressive block inference). The tensor factory `new` makes each
+    parameter in `named_params()` order: by default `drawing_factory` on
+    `T.get_rng()`; a checkpoint load passes one that slices the payload."""
 
-    def __init__(self, hp: Hyperparams, rng: np.random.Generator | None = None):
+    def __init__(self, hp: Hyperparams, new=None):
         hp.validate()
         self.hp = hp
-        rng = rng if rng is not None else T.get_rng()
-        self.embed = EmbeddingTables.create(hp.d_emb, hp.n_past, hp.n_future, rng)
-        self.enc_layers = [EncoderLayer.create(hp, rng) for _ in range(hp.n_enc_layers)]
-        self.dec_layers = [DecoderLayer.create(hp, rng) for _ in range(hp.n_dec_layers)]
+        new = new if new is not None else drawing_factory(T.get_rng())
+        self.embed = EmbeddingTables.create(hp.d_emb, hp.n_past, hp.n_future, new)
+        self.enc_layers = [EncoderLayer.create(hp, new) for _ in range(hp.n_enc_layers)]
+        self.dec_layers = [DecoderLayer.create(hp, new) for _ in range(hp.n_dec_layers)]
         n_out = N_DET_FEATURES + len(QUANTILES)
-        self.w_head = _uniform(rng, (hp.d_emb, n_out), hp.d_emb)
-        self.b_head = Tensor(np.zeros(n_out, dtype=np.float32), requires_grad=True)
+        self.w_head = new((hp.d_emb, n_out), hp.d_emb)
+        self.b_head = new((n_out,))
 
     def named_params(self) -> list[tuple[str, Tensor]]:
         return (named_tensors(self.embed, "embed") + named_tensors(self.enc_layers, "enc")
@@ -300,16 +304,8 @@ class ForecastModel:
 
 
 def param_count(hp: Hyperparams) -> int:
-    """Closed-form learnable-parameter total for a given configuration."""
-    d, ff = hp.d_emb, hp.d_ff
-    embed = (N_FEATURES * d + d               # projection + bias
-             + hp.n_past * d + hp.n_future * d
-             + (12 + 7 + 24 + 4 + 21) * d)
-    attn = 4 * (d * d + d)
-    ffn = d * ff + ff + ff * d + d
-    ln = 2 * d
-    enc = hp.n_enc_layers * (attn + ffn + 2 * ln)
-    dec = hp.n_dec_layers * (2 * attn + ffn + 3 * ln)
-    n_out = N_DET_FEATURES + len(QUANTILES)
-    head = d * n_out + n_out
-    return embed + enc + dec + head
+    """Learnable-parameter total: the sizes of the tensors `ForecastModel(hp)`
+    makes, summed by a factory that allocates none of them."""
+    sizes = []
+    ForecastModel(hp, lambda shape, fan_in=None, fill=0.0: sizes.append(math.prod(shape)))
+    return sum(sizes)

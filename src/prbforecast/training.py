@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import struct
 import tempfile
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import Normalizer, batch_samples
-from .model import QUANTILES, ForecastModel, Hyperparams, param_count, read_settings
+from .model import QUANTILES, ForecastModel, Hyperparams, read_settings
 from .tensor import Tensor
 
 log = logging.getLogger(__name__)
@@ -324,23 +325,35 @@ def load_checkpoint(path: str) -> tuple[ForecastModel, TrainConfig, Normalizer]:
         raise CheckpointError(f"{path}: malformed header: {e!r}") from None
 
 
+def _payload_factory(values: np.ndarray):
+    """A tensor factory (as `model.drawing_factory`) whose tensors are consecutive
+    slices of `values`; one that would run past the end raises ValueError."""
+    at = 0
+
+    def new(shape, fan_in=None, fill=0.0):
+        nonlocal at
+        start, at = at, at + math.prod(shape)
+        if at > len(values):
+            raise ValueError(f"hyperparams need more than the {len(values)} payload values")
+        return Tensor(values[start:at].reshape(shape), requires_grad=True)
+
+    return new
+
+
 def _restore(header: dict, payload: bytes, path: str):
     """Model, config and normalizer from a decoded header and its payload;
-    a header of the wrong shape raises KeyError, TypeError or ValueError."""
+    a header of the wrong shape raises KeyError, TypeError or ValueError.
+    The tensors are slices of the payload; nothing is drawn."""
     if zlib.crc32(payload) != header["payload_crc32"]:
         raise CheckpointError(f"{path}: payload CRC mismatch")
     hp = Hyperparams.from_dict(header["hyperparams"])
-    if 4 * param_count(hp) != len(payload):  # checked before the model is allocated
-        raise ValueError(f"hyperparams need {4 * param_count(hp)} payload bytes, "
-                         f"found {len(payload)}")
     cfg = TrainConfig.from_dict(header["train_config"])
     normalizer = Normalizer.from_dict(header["normalizer"])
-    model = ForecastModel(hp, rng=np.random.default_rng(0))
+    values = np.frombuffer(payload, dtype="<f4").astype(np.float32)
+    model = ForecastModel(hp, _payload_factory(values))
+    used = sum(p.data.size for p in model.params())
+    if used != len(values):
+        raise ValueError(f"hyperparams need {used} payload values, found {len(values)}")
     if header["manifest"] != _manifest(model):
         raise ValueError("manifest differs from the tensor layout of the hyperparams")
-    values = np.frombuffer(payload, dtype="<f4").astype(np.float32)
-    at = 0
-    for p in model.params():
-        p.data = values[at:at + p.data.size].reshape(p.shape)
-        at += p.data.size
     return model, cfg, normalizer

@@ -1,5 +1,6 @@
 import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -56,3 +57,12 @@ def edit_header(blob: bytes, edit) -> bytes:
     n = struct.unpack("<I", blob[8:12])[0]
     raw = json.dumps(edit(json.loads(blob[12:12 + n]))).encode()
     return blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + n:]
+
+
+def append_float(blob: bytes) -> bytes:
+    """Checkpoint bytes with one more f32 at the end of the payload and the
+    header's `payload_crc32` rewritten to match."""
+    n = struct.unpack("<I", blob[8:12])[0]
+    payload = blob[12 + n:] + struct.pack("<f", 0.5)
+    crc = zlib.crc32(payload)
+    return edit_header(blob[:12 + n], lambda h: {**h, "payload_crc32": crc}) + payload

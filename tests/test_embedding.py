@@ -3,13 +3,14 @@ import pytest
 
 from prbforecast import tensor as T
 from prbforecast.embedding import META_ORDER, EmbeddingTables, embed_tokens, embedding_sum
-from prbforecast.model import Hyperparams
+from prbforecast.model import Hyperparams, drawing_factory
 
 from conftest import assert_grads_close, central_diff
 
 
 def make_tables(d_emb=8, n_past=4, n_future=2, seed=0):
-    return EmbeddingTables.create(d_emb, n_past, n_future, np.random.default_rng(seed))
+    return EmbeddingTables.create(d_emb, n_past, n_future,
+                                  drawing_factory(np.random.default_rng(seed)))
 
 
 def make_inputs(batch=2, steps=4, seed=1):
@@ -67,7 +68,7 @@ def test_single_category_change_shifts_by_row_difference():
 def test_default_config_output_shape():
     hp = Hyperparams()
     tables = EmbeddingTables.create(hp.d_emb, hp.n_past, hp.n_future,
-                                    np.random.default_rng(0))
+                                    drawing_factory(np.random.default_rng(0)))
     features, meta = make_inputs(batch=1, steps=hp.n_past)
     out = embed_tokens(tables, features, meta, "encoder")
     assert out.shape == (1, 4, 64)

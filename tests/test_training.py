@@ -14,7 +14,7 @@ from prbforecast.training import (AdamState, CheckpointError, TrainConfig,
                                   clip_gradients, load_checkpoint,
                                   save_checkpoint, total_loss, train)
 
-from conftest import central_diff, edit_header
+from conftest import append_float, central_diff, edit_header
 
 TINY = Hyperparams(d_emb=4, n_enc_layers=1, n_dec_layers=1, heads=2, d_ff=8,
                    n_past=2, n_future=2)
@@ -431,16 +431,36 @@ class TestCheckpoint:
         lambda h: {**h, "manifest": h["manifest"][:2] + h["manifest"][3:1:-1]
                    + h["manifest"][4:]},
         lambda h: {**h, "normalizer": None},
+        lambda h: {**h, "hyperparams": {**h["hyperparams"], "n_enc_layers": 10 ** 9}},
+        append_float,  # edits the whole file, not only the header
     ], ids=["no_manifest", "list", "str_d_emb", "bad_heads", "unknown_hp",
             "negative_lr", "empty_entry", "other_quantiles", "nan_mins",
             "short_mins", "nan_lr", "float_heads", "bool_heads", "zero_heads",
             "bool_n_enc_layers", "huge_d_ff", "float_epochs", "str_seed",
-            "renamed_entry", "transposed_shape", "swapped_entries", "null_normalizer"])
+            "renamed_entry", "transposed_shape", "swapped_entries", "null_normalizer",
+            "billion_enc_layers", "one_float_over"])
     def test_malformed_header_rejected(self, tmp_path, edit):
         path = tmp_path / "model.ckpt"
-        path.write_bytes(edit_header(checkpoint_bytes(*self._trained()), edit))
+        blob = checkpoint_bytes(*self._trained())
+        path.write_bytes(append_float(blob) if edit is append_float
+                         else edit_header(blob, edit))
         with pytest.raises(CheckpointError, match="malformed header"):
             load_checkpoint(str(path))
+
+    def test_loading_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        import prbforecast.model
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), *self._trained())
+        state = T.get_rng().bit_generator.state
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("loading a checkpoint drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        monkeypatch.setattr(prbforecast.model, "drawing_factory", refuse)
+        model, _, _ = load_checkpoint(str(path))
+        assert isinstance(model, ForecastModel)
+        assert T.get_rng().bit_generator.state == state
 
 
 class TestLocalDescent:
