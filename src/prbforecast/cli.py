@@ -15,13 +15,13 @@ import sys
 
 from . import metrics as M
 from . import synth
-from .data import (STEP, IngestionError, Normalizer, chronological_split,
-                   format_instants, load_csv, make_samples, parse_timestamp, save_csv)
+from .data import (STEP, Normalizer, chronological_split, format_instants, load_csv,
+                   make_samples, parse_timestamp, save_csv)
 from .model import Hyperparams, read_settings
 from .rollout import forecast_to_csv, rollout, window_from_records
 from .synth import STEPS_PER_DAY
-from .training import (CheckpointError, TrainConfig, TrainingError,
-                       load_checkpoint, save_checkpoint, train, write_history)
+from .training import (TrainConfig, TrainingError, load_checkpoint, save_checkpoint,
+                       train, write_history)
 
 log = logging.getLogger("prbforecast")
 
@@ -116,7 +116,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_forecast(args) -> int:
-    model, cfg, normalizer = load_checkpoint(args.model)
+    model, _, normalizer = load_checkpoint(args.model)
     if args.horizon < 1:
         raise UsageError("--horizon must be >= 1")
     series = {s.carrier_id: s for s in load_csv(args.data)}
@@ -141,11 +141,11 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model, cfg, normalizer = load_checkpoint(args.model)
+    model, _, normalizer = load_checkpoint(args.model)
     series = load_csv(args.data)
     report = M.evaluate(model, normalizer, series, args.horizon, args.anchors,
                         args.plot_dir)
-    report["metadata"]["model_hash"] = M.model_hash(model, cfg, normalizer)
+    report["metadata"]["model_hash"] = M.model_hash(args.model)
     start, end = format_instants([min(s.times[0] for s in series),
                                   max(s.times[-1] for s in series)])
     report["metadata"]["data_span"] = {"start": start, "end": end}
@@ -211,7 +211,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (UsageError, IngestionError, CheckpointError, ValueError) as e:
+    except ValueError as e:  # usage, ingestion and checkpoint errors subclass it
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as e:  # a requested size beyond memory

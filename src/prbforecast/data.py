@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import csv
 import logging
+import os
+import secrets
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -168,10 +171,28 @@ def load_csv(path: str) -> list[KpiSeries]:
     return out
 
 
+@contextmanager
+def atomic_open(path: str, binary: bool = False):
+    """The one writer of every output file: a file object on a new temp file
+    in `path`'s directory (UTF-8 text, newlines untranslated, or bytes; the
+    mode a plain `open` gives), renamed over `path` when the block ends and
+    deleted if it raises, so an interrupted write leaves `path` as it was."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".tmp-{secrets.token_hex(8)}")
+    f = open(tmp, "xb") if binary else open(tmp, "x", newline="", encoding="utf-8")
+    try:
+        with f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def save_csv(series_list: list[KpiSeries], path: str) -> int:
     """Write series in the ingestion schema; returns the data row count."""
     rows = 0
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with atomic_open(path) as f:
         writer = csv.writer(f)
         writer.writerow(CSV_HEADER)
         for series in sorted(series_list, key=lambda s: s.carrier_id):

@@ -1,6 +1,7 @@
 """Forecast evaluation: median MAE, 80% prediction-interval hit
-probability, absolute-error spread, per-carrier rollout evaluation with
-anchor averaging, and an SVG plot of truth vs. the forecast band.
+probability and absolute-error spread, each over the last axis (one number
+for 1-D inputs, one per row for (rows, K)); per-carrier rollout evaluation
+with anchor averaging; and an SVG plot of truth vs. the forecast band.
 """
 
 from __future__ import annotations
@@ -11,22 +12,21 @@ import os
 
 import numpy as np
 
-from .data import KpiSeries, Normalizer, format_instants
+from .data import KpiSeries, Normalizer, atomic_open, format_instants
 from .model import ForecastModel
 from .rollout import rollout, window_from_records
-from .training import TrainConfig, atomic_write_bytes, checkpoint_bytes
 
 
-def mae(truth, median_pred) -> float:
+def mae(truth, median_pred):
     """Mean absolute error of the median forecast."""
     truth = np.asarray(truth, dtype=np.float64)
     pred = np.asarray(median_pred, dtype=np.float64)
     if truth.shape != pred.shape or truth.size == 0:
         raise ValueError(f"length mismatch: {truth.shape} vs {pred.shape}")
-    return float(np.mean(np.abs(truth - pred)))
+    return np.mean(np.abs(truth - pred), axis=-1)
 
 
-def hit_probability(truth, q10, q90) -> float:
+def hit_probability(truth, q10, q90):
     """Fraction of steps whose true value lies inside [q10, q90];
     boundary values count as hits."""
     truth = np.asarray(truth, dtype=np.float64)
@@ -36,16 +36,16 @@ def hit_probability(truth, q10, q90) -> float:
         raise ValueError("length mismatch between truth and interval bounds")
     if np.any(lo > hi):
         raise ValueError("crossing prediction interval (q10 > q90)")
-    return float(np.mean((lo <= truth) & (truth <= hi)))
+    return np.mean((lo <= truth) & (truth <= hi), axis=-1)
 
 
-def abs_err_std(truth, median_pred) -> float:
+def abs_err_std(truth, median_pred):
     """Population standard deviation of the absolute median error."""
     truth = np.asarray(truth, dtype=np.float64)
     pred = np.asarray(median_pred, dtype=np.float64)
-    if truth.shape != pred.shape or truth.size < 2:
+    if truth.shape != pred.shape or truth.ndim == 0 or truth.shape[-1] < 2:
         raise ValueError("need at least 2 matched values")
-    return float(np.std(np.abs(truth - pred)))
+    return np.std(np.abs(truth - pred), axis=-1)
 
 
 def anchor_positions(series_len: int, n_past: int, horizon: int,
@@ -69,44 +69,37 @@ def evaluate(model: ForecastModel, normalizer: Normalizer,
              n_anchors: int = 1, plot_dir: str | None = None) -> dict:
     """Per-carrier rollout metrics on residual PRB, averaged over anchors,
     plus carrier-level aggregates. All (carrier, anchor) rows are rolled
-    out as one batch. With `plot_dir`, each carrier's first-anchor forecast
-    is also drawn to `carrier_<id>.svg` there."""
+    out as one batch and scored as one (rows, K) array; a carrier's entry is
+    the mean over its rows. With `plot_dir`, each carrier's first-anchor
+    forecast is also drawn to `carrier_<id>.svg` there."""
     hp = model.hp
     series_list = sorted(test_series, key=lambda s: s.carrier_id)
     if not series_list:
         raise ValueError("no series to evaluate")
     anchors = [anchor_positions(len(s), hp.n_past, horizon, n_anchors)
                for s in series_list]
-    rows = [window_from_records(s, a, hp.n_past, normalizer) + (s.carrier_id,)
+    rows = [window_from_records(s, a, hp.n_past, normalizer)
+            + (s.carrier_id, s.values[a:a + horizon, -1])
             for s, anchor_list in zip(series_list, anchors) for a in anchor_list]
-    windows, metas, starts, carriers = zip(*rows)
-    times, out = rollout(model, np.stack(windows), np.stack(metas), starts, carriers,
-                         horizon)
+    windows, metas, starts, carriers, truth = map(np.stack, zip(*rows))
+    times, out = rollout(model, windows, metas, starts, carriers, horizon)
+    q10, q50, q90 = np.moveaxis(out.quantiles, -1, 0)  # (rows, K) each
+    maes, stds = mae(truth, q50), abs_err_std(truth, q50)
+    hits = hit_probability(truth, q10, q90)
+    bounds = np.cumsum([0] + [len(a) for a in anchors])  # rows: carrier-major, then anchor
+    per_carrier = [{
+        "carrier_id": series.carrier_id,
+        "mae": float(np.mean(maes[lo:hi])),
+        "abs_err_std": float(np.mean(stds[lo:hi])),
+        "hit_prob": float(np.mean(hits[lo:hi])),
+        "horizon": horizon,
+        "anchors": anchor_list,
+    } for series, anchor_list, lo, hi in zip(series_list, anchors, bounds, bounds[1:])]
     if plot_dir:
         os.makedirs(plot_dir, exist_ok=True)
-    per_carrier = []
-    r = 0  # rollout row of (series, a): carrier-major, then anchor
-    for series, anchor_list in zip(series_list, anchors):
-        residuals = series.values[:, -1]
-        maes, stds, hits = [], [], []
-        for a in anchor_list:
-            truth = residuals[a:a + horizon]
-            q10, q50, q90 = out.quantiles[r].T
-            maes.append(mae(truth, q50))
-            stds.append(abs_err_std(truth, q50))
-            hits.append(hit_probability(truth, q10, q90))
-            if plot_dir and a == anchor_list[0]:
-                emit_plot_svg(truth, times[r], series.carrier_id, out.quantiles[r],
-                              os.path.join(plot_dir, f"carrier_{series.carrier_id}.svg"))
-            r += 1
-        per_carrier.append({
-            "carrier_id": series.carrier_id,
-            "mae": float(np.mean(maes)),
-            "abs_err_std": float(np.mean(stds)),
-            "hit_prob": float(np.mean(hits)),
-            "horizon": horizon,
-            "anchors": anchor_list,
-        })
+        for series, lo in zip(series_list, bounds):
+            emit_plot_svg(truth[lo], times[lo], series.carrier_id, out.quantiles[lo],
+                          os.path.join(plot_dir, f"carrier_{series.carrier_id}.svg"))
     carrier_maes = [c["mae"] for c in per_carrier]
     return {
         "per_carrier": per_carrier,
@@ -123,13 +116,15 @@ def evaluate(model: ForecastModel, normalizer: Normalizer,
     }
 
 
-def model_hash(model: ForecastModel, cfg: TrainConfig,
-               normalizer: Normalizer) -> str:
-    return hashlib.sha256(checkpoint_bytes(model, cfg, normalizer)).hexdigest()
+def model_hash(path: str) -> str:
+    """SHA-256 (hex) of the checkpoint file at `path`."""
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
 
 
 def write_report(report: dict, path: str) -> None:
-    atomic_write_bytes(path, (json.dumps(report, indent=2, sort_keys=True) + "\n").encode())
+    with atomic_open(path) as f:
+        f.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def emit_plot_svg(truth, times, carrier_id: int, quantiles, path: str,
@@ -139,10 +134,9 @@ def emit_plot_svg(truth, times, carrier_id: int, quantiles, path: str,
     as one polygon (q90 forward then q10 reversed, 2K vertices)."""
     truth = np.asarray(truth, dtype=np.float64)
     quantiles = np.asarray(quantiles, dtype=np.float64)
-    if truth.size == 0 or len(quantiles) == 0:
-        raise ValueError("cannot plot an empty series")
-    if truth.size != len(quantiles):
-        raise ValueError(f"truth has {truth.size} steps, forecast {len(quantiles)}")
+    if truth.size == 0 or truth.size != len(quantiles):
+        raise ValueError(f"cannot plot {truth.size} true steps against a forecast "
+                         f"of {len(quantiles)}")
     k = len(quantiles)
 
     margin = 40.0
@@ -165,4 +159,5 @@ def emit_plot_svg(truth, times, carrier_id: int, quantiles, path: str,
   <polyline points="{points(quantiles[:, 1])}" fill="none" stroke="#d9662a" stroke-width="1.2"/>
 </svg>
 """
-    atomic_write_bytes(path, svg.encode("utf-8"))
+    with atomic_open(path) as f:
+        f.write(svg)

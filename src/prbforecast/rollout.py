@@ -15,7 +15,7 @@ import csv
 import numpy as np
 
 from .data import (FEATURE_NAMES, N_DET_FEATURES, N_FEATURES, STEP, KpiSeries,
-                   Normalizer, calendar_meta, format_instants)
+                   Normalizer, atomic_open, calendar_meta, format_instants)
 from .model import DecoderOutput, ForecastModel
 
 
@@ -73,12 +73,10 @@ def forecast_to_csv(times: np.ndarray, carrier_id: int, quantiles: np.ndarray,
     quantiles and (K, 8) det: quantiles in ratio units, deterministic KPIs
     clipped to [0, 1] as the rollout feeds them back, then denormalized back
     to native units, so no KPI falls outside the training range."""
-    raw = normalizer.invert(np.concatenate([np.clip(det, 0.0, 1.0), quantiles[:, 1:2]],
-                                           axis=1))
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    kpis = normalizer.invert(np.clip(det, 0.0, 1.0))
+    with atomic_open(path) as f:
         writer = csv.writer(f)
-        writer.writerow(["timestamp", "carrier_id", "q10", "q50", "q90"]
-                        + FEATURE_NAMES)
-        writer.writerows([stamp, carrier_id] + [f"{v:.6f}" for v in q + kpis]
-                         for stamp, q, kpis in zip(format_instants(times), quantiles.tolist(),
-                                                   raw[:, :len(FEATURE_NAMES)].tolist()))
+        writer.writerow(["timestamp", "carrier_id", "q10", "q50", "q90"] + FEATURE_NAMES)
+        writer.writerows([stamp, carrier_id] + [f"{v:.6f}" for v in q + k]
+                         for stamp, q, k in zip(format_instants(times), quantiles.tolist(),
+                                                kpis.tolist()))

@@ -13,9 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-import os
 import struct
-import tempfile
 import time
 import zlib
 from dataclasses import asdict, dataclass
@@ -23,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import Normalizer, batch_samples
+from .data import Normalizer, atomic_open, batch_samples
 from .model import QUANTILES, ForecastModel, Hyperparams, read_settings
 from .tensor import Tensor
 
@@ -250,25 +248,11 @@ def train(train_samples: np.ndarray, val_samples: np.ndarray,
 
 
 def write_history(history: list[dict], path: str) -> None:
-    atomic_write_bytes(
-        path, "".join(json.dumps(h, sort_keys=True) + "\n" for h in history).encode())
+    with atomic_open(path) as f:
+        f.writelines(json.dumps(h, sort_keys=True) + "\n" for h in history)
 
 
 # -- checkpoint persistence -----------------------------------------------
-
-def atomic_write_bytes(path: str, blob: bytes) -> None:
-    """Temp-file-and-rename write so interrupted runs never leave partial files."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
 
 def _manifest(model: ForecastModel) -> list[dict]:
     """The payload layout of `model`: one entry per tensor of `named_params()`,
@@ -300,7 +284,8 @@ def checkpoint_bytes(model: ForecastModel, cfg: TrainConfig,
 
 def save_checkpoint(path: str, model: ForecastModel, cfg: TrainConfig,
                     normalizer: Normalizer) -> None:
-    atomic_write_bytes(path, checkpoint_bytes(model, cfg, normalizer))
+    with atomic_open(path, binary=True) as f:
+        f.write(checkpoint_bytes(model, cfg, normalizer))
 
 
 def load_checkpoint(path: str) -> tuple[ForecastModel, TrainConfig, Normalizer]:

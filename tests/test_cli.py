@@ -1,11 +1,12 @@
 import csv
+import hashlib
 import json
 import os
 
 import pytest
 
 from prbforecast.cli import main
-from prbforecast.training import load_checkpoint
+from prbforecast.training import checkpoint_bytes, load_checkpoint
 
 from conftest import edit_header
 
@@ -295,6 +296,17 @@ class TestEval:
             assert entry["mae"] >= 0.0
         assert "model_hash" in doc["metadata"]
         assert sorted(os.listdir(plots)) == ["carrier_0.svg", "carrier_1.svg"]
+
+    def test_model_hash_is_the_sha256_of_the_checkpoint_file(self, workspace, tmp_path):
+        report = tmp_path / "report.json"
+        assert main(["eval", "--model", str(workspace["model"]),
+                     "--data", str(workspace["data"]), "--horizon", "8",
+                     "--report", str(report)]) == 0
+        digest = json.loads(report.read_text())["metadata"]["model_hash"]
+        assert digest == hashlib.sha256(workspace["model"].read_bytes()).hexdigest()
+        # for a file `save_checkpoint` wrote, also the hash of the loaded model
+        assert digest == hashlib.sha256(
+            checkpoint_bytes(*load_checkpoint(str(workspace["model"])))).hexdigest()
 
     def test_data_span_uses_utc_z_timestamps(self, workspace, tmp_path):
         report = tmp_path / "report.json"

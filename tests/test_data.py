@@ -1,3 +1,4 @@
+import os
 import random
 import re
 from datetime import datetime, timezone
@@ -204,6 +205,31 @@ class TestCsvRoundtrip:
         with pytest.raises(IngestionError, match=re.escape(f"{path}:1: bad CSV header")):
             load_csv(str(path))
 
+
+    def test_interrupted_write_leaves_the_target_as_it_was(self, tmp_path):
+        """Rows that raise partway leave an existing file byte-identical and
+        no temp file in its directory."""
+        path = tmp_path / "kpi.csv"
+        save_csv([make_series(5)], str(path))
+        before = path.read_bytes()
+        bad = make_series(50, 1)
+        bad.values = bad.values.astype(object)
+        bad.values[30, 2] = None  # formatting this row raises
+        with pytest.raises(TypeError):
+            save_csv([make_series(50, 0), bad], str(path))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["kpi.csv"]
+
+
+
+class TestAtomicOpen:
+    def test_file_gets_the_mode_of_a_plain_open(self, tmp_path):
+        plain = tmp_path / "plain"
+        plain.write_bytes(b"")
+        with D.atomic_open(str(tmp_path / "out"), binary=True) as f:
+            f.write(b"x")
+        assert (tmp_path / "out").stat().st_mode == plain.stat().st_mode
+        assert sorted(os.listdir(tmp_path)) == ["out", "plain"]
 
 class TestSplit:
     def test_80_10_10(self):

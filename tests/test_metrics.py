@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from prbforecast import tensor as T
-from prbforecast.data import STEP, Normalizer, to_datetime64
+from prbforecast.data import STEP, KpiSeries, Normalizer, to_datetime64
 from prbforecast.metrics import (abs_err_std, anchor_positions, emit_plot_svg,
                                  evaluate, hit_probability, mae)
 from prbforecast.model import ForecastModel, Hyperparams
+from prbforecast.rollout import rollout, window_from_records
 from prbforecast.synth import default_profiles, generate
 
 UTC = timezone.utc
@@ -117,7 +118,6 @@ class TestEvaluate:
         model, norm, series = self._setup()
         hp = model.hp
         report = evaluate(model, norm, series[:1], horizon=hp.n_future, n_anchors=1)
-        from prbforecast.rollout import rollout, window_from_records
         s = series[0]
         window, meta, next_ts = window_from_records(s, hp.n_past, hp.n_past, norm)
         _, out = rollout(model, window[None], meta[None], [next_ts], [s.carrier_id],
@@ -125,6 +125,32 @@ class TestEvaluate:
         truth = s.values[hp.n_past:hp.n_past + hp.n_future, -1]
         assert report["per_carrier"][0]["mae"] == pytest.approx(
             mae(truth, out.quantiles[0, :, 1]), abs=1e-12)
+
+    def test_each_carrier_is_the_mean_over_its_own_anchors(self):
+        """Carriers of different lengths get anchor lists of different
+        lengths; each carrier's scores equal the mean of the 1-D scores of
+        its anchors, each rolled out alone."""
+        model, norm, series = self._setup()
+        hp, horizon = model.hp, 8
+        short = KpiSeries(series[0].carrier_id, series[0].times[:hp.n_past + horizon + 1],
+                          series[0].values[:hp.n_past + horizon + 1])
+        report = evaluate(model, norm, [short, series[1]], horizon=horizon, n_anchors=4)
+        entries = report["per_carrier"]
+        assert [len(c["anchors"]) for c in entries] == [2, 4]
+        for s, entry in zip([short, series[1]], entries):
+            maes, stds, hits = [], [], []
+            for a in entry["anchors"]:
+                window, meta, start = window_from_records(s, a, hp.n_past, norm)
+                _, out = rollout(model, window[None], meta[None], [start], [s.carrier_id],
+                                 horizon)
+                q10, q50, q90 = out.quantiles[0].T
+                truth = s.values[a:a + horizon, -1]
+                maes.append(mae(truth, q50))
+                stds.append(abs_err_std(truth, q50))
+                hits.append(hit_probability(truth, q10, q90))
+            assert entry["mae"] == float(np.mean(maes))
+            assert entry["abs_err_std"] == float(np.mean(stds))
+            assert entry["hit_prob"] == float(np.mean(hits))
 
     def test_anchor_out_of_range(self):
         model, norm, series = self._setup()

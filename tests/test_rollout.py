@@ -1,4 +1,5 @@
 import csv
+import os
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -189,3 +190,20 @@ class TestForecastCsv:
             assert row[2:5] == [f"{v:.6f}" for v in q[i].tolist()]
             kpis = norm.invert(np.concatenate([np.clip(det[i], 0.0, 1.0), [q[i, 1]]]))[:8]
             assert row[5:] == [f"{v:.6f}" for v in kpis.tolist()]
+
+    def test_interrupted_write_leaves_the_target_as_it_was(self, tmp_path):
+        """Rows that raise partway leave an existing file byte-identical and
+        no temp file in its directory."""
+        model = make_model(seed=13)
+        window, meta = make_window(seed=14)
+        times, q, det = roll(model, window, meta, 96)
+        norm = Normalizer(mins=np.zeros(8), maxs=np.ones(8) * 10)
+        path = tmp_path / "forecast.csv"
+        forecast_to_csv(times, 2, q, det, norm, str(path))
+        before = path.read_bytes()
+        q = q.astype(object)
+        q[50, 1] = None  # formatting this step raises
+        with pytest.raises(TypeError):
+            forecast_to_csv(times, 3, q, det, norm, str(path))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["forecast.csv"]
