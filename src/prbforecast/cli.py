@@ -131,9 +131,8 @@ def cmd_forecast(args) -> int:
     if at < n_past:
         raise UsageError(
             f"--from needs at least {n_past} preceding observations, found {at}")
-    window, meta, next_ts = window_from_records(target, at, n_past, normalizer)
-    times, out = rollout(model, window[None], meta[None], [next_ts], [args.carrier],
-                         args.horizon)
+    window, next_ts = window_from_records(target, at, n_past, normalizer)
+    times, out = rollout(model, window[None], [next_ts], [args.carrier], args.horizon)
     forecast_to_csv(times[0], args.carrier, out.quantiles[0], out.det[0], normalizer,
                     args.out)
     print(f"wrote {args.horizon} forecast rows to {args.out}")
@@ -141,6 +140,10 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.horizon < 2:
+        raise UsageError("--horizon must be >= 2")
+    if args.anchors < 1:
+        raise UsageError("--anchors must be >= 1")
     model, _, normalizer = load_checkpoint(args.model)
     series = load_csv(args.data)
     report = M.evaluate(model, normalizer, series, args.horizon, args.anchors,

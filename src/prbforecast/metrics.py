@@ -16,6 +16,8 @@ from .data import KpiSeries, Normalizer, atomic_open, format_instants
 from .model import ForecastModel
 from .rollout import rollout, window_from_records
 
+PLOT_WIDTH, PLOT_HEIGHT = 960, 360  # SVG canvas, px
+
 
 def mae(truth, median_pred):
     """Mean absolute error of the median forecast."""
@@ -81,8 +83,8 @@ def evaluate(model: ForecastModel, normalizer: Normalizer,
     rows = [window_from_records(s, a, hp.n_past, normalizer)
             + (s.carrier_id, s.values[a:a + horizon, -1])
             for s, anchor_list in zip(series_list, anchors) for a in anchor_list]
-    windows, metas, starts, carriers, truth = map(np.stack, zip(*rows))
-    times, out = rollout(model, windows, metas, starts, carriers, horizon)
+    windows, starts, carriers, truth = map(np.stack, zip(*rows))
+    times, out = rollout(model, windows, starts, carriers, horizon)
     q10, q50, q90 = np.moveaxis(out.quantiles, -1, 0)  # (rows, K) each
     maes, stds = mae(truth, q50), abs_err_std(truth, q50)
     hits = hit_probability(truth, q10, q90)
@@ -127,8 +129,7 @@ def write_report(report: dict, path: str) -> None:
         f.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
-def emit_plot_svg(truth, times, carrier_id: int, quantiles, path: str,
-                  width: int = 960, height: int = 360) -> None:
+def emit_plot_svg(truth, times, carrier_id: int, quantiles, path: str) -> None:
     """Standalone SVG of one rollout row, from its (K,) instants and (K, 3)
     quantiles: ground-truth polyline, median polyline, and the q10-q90 band
     as one polygon (q90 forward then q10 reversed, 2K vertices)."""
@@ -138,8 +139,7 @@ def emit_plot_svg(truth, times, carrier_id: int, quantiles, path: str,
         raise ValueError(f"cannot plot {truth.size} true steps against a forecast "
                          f"of {len(quantiles)}")
     k = len(quantiles)
-
-    margin = 40.0
+    width, height, margin = PLOT_WIDTH, PLOT_HEIGHT, 40.0
     xs = margin + (width - 2 * margin) * (np.arange(k) / max(k - 1, 1))
 
     def points(values, x=xs):

@@ -6,14 +6,13 @@ training run and takes several minutes; everything else is fast.
 """
 
 import time
-from datetime import timedelta
 
 import numpy as np
 import pytest
 
 from prbforecast import tensor as T
-from prbforecast.data import (Normalizer, calendar_meta, chronological_split,
-                              make_samples, to_datetime64)
+from prbforecast.data import (Normalizer, chronological_split, make_samples,
+                              to_datetime64)
 from prbforecast.embedding import embed_tokens
 from prbforecast.metrics import (anchor_positions, evaluate, hit_probability,
                                  mae)
@@ -143,12 +142,9 @@ def test_criterion_4_rollout_invariants_week_horizon():
     window = rng.random((hp.n_past, 9)).astype(np.float32)
     from datetime import datetime, timezone
     start = datetime(2024, 3, 4, tzinfo=timezone.utc)
-    times = [start - (hp.n_past - i) * timedelta(minutes=15)
-             for i in range(hp.n_past)]
-    meta = calendar_meta([to_datetime64(t) for t in times], 2)
 
-    _, out = rollout(model, window[None], meta[None], [to_datetime64(start)], [2], 672)
-    _, short = rollout(model, window[None], meta[None], [to_datetime64(start)], [2], 96)
+    _, out = rollout(model, window[None], [to_datetime64(start)], [2], 672)
+    _, short = rollout(model, window[None], [to_datetime64(start)], [2], 96)
     q, det = out.quantiles[0], out.det[0]
     ok = len(q) == len(det) == 672
     ok = ok and (np.array_equal(short.quantiles[0, :, 1], q[:96, 1])
@@ -170,6 +166,7 @@ def test_criterion_4_rollout_invariants_week_horizon():
     report(4, "recursive rollout invariants over 672 steps", ok)
 
 
+@pytest.mark.slow
 def test_criterion_5_desk_scale_learning():
     """Full training run on three synthetic carriers (60/7/14-day split,
     seed 42, default model configuration, at most 50 epochs): the day-ahead
@@ -249,10 +246,10 @@ def test_criterion_7_determinism_and_checkpoint_roundtrip(tmp_path):
     save_checkpoint(path, m1, cfg, norm)
     loaded, _, norm2 = load_checkpoint(path)
     s = train_s[0]
-    window, meta, next_ts = window_from_records(s, hp.n_past, hp.n_past, norm)
-    _, a = rollout(m1, window[None], meta[None], [next_ts], [s.carrier_id], 24)
-    window, meta, next_ts = window_from_records(s, hp.n_past, hp.n_past, norm2)
-    _, b = rollout(loaded, window[None], meta[None], [next_ts], [s.carrier_id], 24)
+    window, next_ts = window_from_records(s, hp.n_past, hp.n_past, norm)
+    _, a = rollout(m1, window[None], [next_ts], [s.carrier_id], 24)
+    window, next_ts = window_from_records(s, hp.n_past, hp.n_past, norm2)
+    _, b = rollout(loaded, window[None], [next_ts], [s.carrier_id], 24)
     ok = ok and (np.array_equal(a.quantiles, b.quantiles)
                  and np.array_equal(a.det, b.det))
     report(7, "training determinism and checkpoint round trip", ok)

@@ -352,6 +352,20 @@ class TestEval:
         assert len(calls) == 1
         assert sorted(os.listdir(tmp_path / "plots")) == ["carrier_0.svg", "carrier_1.svg"]
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--horizon", "1"], "error: --horizon must be >= 2\n"),
+        (["--anchors", "0"], "error: --anchors must be >= 1\n"),
+    ], ids=["horizon", "anchors"])
+    def test_bad_flag_is_named_before_anything_is_loaded(self, tmp_path, capsys, flags,
+                                                         message):
+        # neither file exists, so reading either would end in an I/O error (exit 3)
+        report = tmp_path / "r.json"
+        assert main(["eval", "--model", str(tmp_path / "absent.rupf"),
+                     "--data", str(tmp_path / "absent.csv"), "--report", str(report)]
+                    + flags) == 1
+        assert capsys.readouterr().err == message
+        assert not report.exists()
+
 
 class TestParser:
     def test_missing_subcommand_is_usage_error(self):

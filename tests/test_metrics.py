@@ -6,7 +6,7 @@ import pytest
 
 from prbforecast import tensor as T
 from prbforecast.data import STEP, KpiSeries, Normalizer, to_datetime64
-from prbforecast.metrics import (abs_err_std, anchor_positions, emit_plot_svg,
+from prbforecast.metrics import (PLOT_HEIGHT, abs_err_std, anchor_positions, emit_plot_svg,
                                  evaluate, hit_probability, mae)
 from prbforecast.model import ForecastModel, Hyperparams
 from prbforecast.rollout import rollout, window_from_records
@@ -119,9 +119,8 @@ class TestEvaluate:
         hp = model.hp
         report = evaluate(model, norm, series[:1], horizon=hp.n_future, n_anchors=1)
         s = series[0]
-        window, meta, next_ts = window_from_records(s, hp.n_past, hp.n_past, norm)
-        _, out = rollout(model, window[None], meta[None], [next_ts], [s.carrier_id],
-                         hp.n_future)
+        window, next_ts = window_from_records(s, hp.n_past, hp.n_past, norm)
+        _, out = rollout(model, window[None], [next_ts], [s.carrier_id], hp.n_future)
         truth = s.values[hp.n_past:hp.n_past + hp.n_future, -1]
         assert report["per_carrier"][0]["mae"] == pytest.approx(
             mae(truth, out.quantiles[0, :, 1]), abs=1e-12)
@@ -140,9 +139,8 @@ class TestEvaluate:
         for s, entry in zip([short, series[1]], entries):
             maes, stds, hits = [], [], []
             for a in entry["anchors"]:
-                window, meta, start = window_from_records(s, a, hp.n_past, norm)
-                _, out = rollout(model, window[None], meta[None], [start], [s.carrier_id],
-                                 horizon)
+                window, start = window_from_records(s, a, hp.n_past, norm)
+                _, out = rollout(model, window[None], [start], [s.carrier_id], horizon)
                 q10, q50, q90 = out.quantiles[0].T
                 truth = s.values[a:a + horizon, -1]
                 maes.append(mae(truth, q50))
@@ -212,13 +210,13 @@ class TestSvg:
         assert len(polygon.get("points").split()) == 2 * k
 
     def test_values_outside_unit_range_are_clipped_to_the_frame(self, tmp_path):
-        k, height, margin = 16, 200, 40.0
+        k, height, margin = 16, PLOT_HEIGHT, 40.0
         path = tmp_path / "plot.svg"
         times, quantiles = self._forecast(k)
         quantiles[::2] += 1.5   # every other step above 1
         quantiles[1::2] -= 1.5  # the rest below 0
         truth = np.where(np.arange(k) % 2 == 0, -0.7, 2.3)
-        emit_plot_svg(truth, times, 0, quantiles, str(path), height=height)
+        emit_plot_svg(truth, times, 0, quantiles, str(path))
         root = ET.parse(path).getroot()
         ns = "{http://www.w3.org/2000/svg}"
         shapes = root.findall(f"{ns}polyline") + root.findall(f"{ns}polygon")

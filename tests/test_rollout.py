@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from prbforecast import tensor as T
-from prbforecast.data import Normalizer, calendar_meta, to_datetime64
+from prbforecast.data import STEP, Normalizer, calendar_meta, to_datetime64
 from prbforecast.model import ForecastModel, Hyperparams
 from prbforecast.rollout import forecast_to_csv, rollout
 
@@ -22,80 +22,90 @@ def make_model(hp=TINY, seed=0):
 
 
 def make_window(hp=TINY, seed=1):
-    rng = np.random.default_rng(seed)
-    window = rng.random((hp.n_past, 9)).astype(np.float32)
-    times = [START - (hp.n_past - i) * timedelta(minutes=15)
-             for i in range(hp.n_past)]
-    meta = calendar_meta([to_datetime64(t) for t in times], 2)
-    return window, meta
+    return np.random.default_rng(seed).random((hp.n_past, 9)).astype(np.float32)
 
 
-def roll(model, window, meta, horizon, start=START, carrier=2):
+def roll(model, window, horizon, start=START, carrier=2):
     """Batch-of-one rollout: its (K,) instants, (K, 3) quantiles, (K, 8) det."""
-    times, out = rollout(model, window[None], meta[None], [to_datetime64(start)],
-                         [carrier], horizon)
+    times, out = rollout(model, window[None], [to_datetime64(start)], [carrier], horizon)
     return times[0], out.quantiles[0], out.det[0]
 
 
 class TestRollout:
     def test_step_counts(self):
         model = make_model()
-        window, meta = make_window()
-        assert len(roll(model, window, meta, 96)[1]) == 96
-        assert len(roll(model, window, meta, 1)[1]) == 1
-        assert len(roll(model, window, meta, 3)[1]) == 3
+        window = make_window()
+        assert len(roll(model, window, 96)[1]) == 96
+        assert len(roll(model, window, 1)[1]) == 1
+        assert len(roll(model, window, 3)[1]) == 3
 
     def test_result_shapes(self):
         model = make_model()
-        window, meta = make_window()
-        times, out = rollout(model, np.stack([window] * 2), np.stack([meta] * 2),
-                             [to_datetime64(START)] * 2, [2, 5], 5)
+        window = make_window()
+        times, out = rollout(model, np.stack([window] * 2), [to_datetime64(START)] * 2,
+                             [2, 5], 5)
         assert times.shape == (2, 5) and times.dtype == np.dtype("datetime64[m]")
         assert out.det.shape == (2, 5, 8)
         assert out.quantiles.shape == (2, 5, 3)
 
     def test_bad_horizon_and_window(self):
         model = make_model()
-        window, meta = make_window()
+        window = make_window()
         with pytest.raises(ValueError):
-            roll(model, window, meta, 0)
+            roll(model, window, 0)
         with pytest.raises(ValueError):
-            roll(model, window[:3], meta[:3], 4)
+            roll(model, window[:3], 4)
+        with pytest.raises(ValueError):  # two starts for one window
+            rollout(model, window[None], [to_datetime64(START)] * 2, [2], 4)
+        with pytest.raises(ValueError):  # two carriers for one window
+            rollout(model, window[None], [to_datetime64(START)], [2, 2], 4)
 
     def test_window_update_traced_by_hand(self):
         # N=4, M=2: after one block the window is [x2, x3, xhat4, xhat5]
         model = make_model(seed=3)
-        window, meta = make_window(seed=4)
-        _, q, det = roll(model, window, meta, 2)
+        window = make_window(seed=4)
+        _, q, det = roll(model, window, 2)
         fed0 = np.concatenate([np.clip(det[0], 0, 1), [q[0, 1]]])
         fed1 = np.concatenate([np.clip(det[1], 0, 1), [q[1, 1]]])
         expected_window = np.stack([window[2], window[3],
                                     fed0.astype(np.float32),
                                     fed1.astype(np.float32)])
         # a second block must be computed from exactly that window
-        _, continued_q, continued_det = roll(model, window, meta, 4)
-        meta2 = np.concatenate([
-            meta[2:],
-            calendar_meta([to_datetime64(START),
-                           to_datetime64(START + timedelta(minutes=15))], 2)])
-        _, direct_q, direct_det = roll(model, expected_window, meta2, 2,
+        _, continued_q, continued_det = roll(model, window, 4)
+        _, direct_q, direct_det = roll(model, expected_window, 2,
                                        START + 2 * timedelta(minutes=15))
         np.testing.assert_array_equal(continued_q[2:], direct_q)
         np.testing.assert_array_equal(continued_det[2:], direct_det)
 
+    def test_calendar_rows_come_from_the_start_instant(self):
+        """A window that crosses midnight, a month end (Feb 29 -> Mar 1) and a
+        weekday change: the first block equals one `forward_block` on the
+        calendar rows of the N instants before the start and the M from it."""
+        model = make_model(seed=16)
+        window = make_window(seed=17)
+        start = to_datetime64(datetime(2024, 3, 1, 0, 30, tzinfo=UTC))
+        n, m = TINY.n_past, TINY.n_future
+        enc_meta = calendar_meta(start + np.arange(-n, 0) * STEP, 20)
+        dec_meta = calendar_meta(start + np.arange(m) * STEP, 20)
+        assert enc_meta[0, :3].tolist() == [1, 3, 23] and enc_meta[-1, :3].tolist() == [2, 4, 0]
+        direct = model.forward_block(window[None], enc_meta[None], dec_meta[None])
+        _, out = rollout(model, window[None], [start], [20], 5)
+        assert (out.det[:, :m] == direct.det).all()
+        assert (out.quantiles[:, :m] == direct.quantiles).all()
+
     def test_prefix_consistency(self):
         model = make_model(seed=5)
-        window, meta = make_window(seed=6)
-        _, short_q, short_det = roll(model, window, meta, 2)
-        _, long_q, long_det = roll(model, window, meta, 4)
+        window = make_window(seed=6)
+        _, short_q, short_det = roll(model, window, 2)
+        _, long_q, long_det = roll(model, window, 4)
         np.testing.assert_array_equal(short_q, long_q[:2])
         np.testing.assert_array_equal(short_det, long_det[:2])
 
     def test_median_feedback_bit_exact_and_bounded(self):
         model = make_model(seed=7)
-        window, meta = make_window(seed=8)
+        window = make_window(seed=8)
         horizon = 12
-        _, q, det = roll(model, window, meta, horizon)
+        _, q, det = roll(model, window, horizon)
         # replay the recursion and compare the residual column of the window
         state = window.copy()
         i = 0
@@ -112,14 +122,14 @@ class TestRollout:
 
     def test_quantiles_never_cross_over_long_horizon(self):
         model = make_model(seed=9)
-        window, meta = make_window(seed=10)
-        for q10, q50, q90 in roll(model, window, meta, 96)[1]:
+        window = make_window(seed=10)
+        for q10, q50, q90 in roll(model, window, 96)[1]:
             assert q10 <= q50 <= q90
 
     def test_timestamps_advance_on_grid(self):
         model = make_model(seed=11)
-        window, meta = make_window(seed=12)
-        times = roll(model, window, meta, 8)[0]
+        window = make_window(seed=12)
+        times = roll(model, window, 8)[0]
         for i, t in enumerate(times):
             assert t == to_datetime64(START + i * timedelta(minutes=15))
 
@@ -129,18 +139,14 @@ class TestRollout:
         for b, (carrier, hours) in enumerate([(2, 0), (0, 7), (20, 29)]):
             start = START + timedelta(hours=hours, minutes=15 * b)
             window = np.random.default_rng(20 + b).random((TINY.n_past, 9))
-            past = [start - (TINY.n_past - i) * timedelta(minutes=15)
-                    for i in range(TINY.n_past)]
-            meta = calendar_meta([to_datetime64(t) for t in past], carrier)
-            rows.append((window.astype(np.float32), meta, start, carrier))
-        windows, metas, starts, carriers = zip(*rows)
+            rows.append((window.astype(np.float32), start, carrier))
+        windows, starts, carriers = zip(*rows)
         horizon = 7  # not a multiple of M=2
-        times, out = rollout(model, np.stack(windows), np.stack(metas),
+        times, out = rollout(model, np.stack(windows),
                              [to_datetime64(t) for t in starts], carriers, horizon)
         assert len(times) == 3
-        for r, (window, meta, start, carrier) in enumerate(rows):
-            alone_times, alone_q, alone_det = roll(model, window, meta, horizon,
-                                                   start, carrier)
+        for r, (window, start, carrier) in enumerate(rows):
+            alone_times, alone_q, alone_det = roll(model, window, horizon, start, carrier)
             assert times.shape[1] == len(alone_q) == horizon
             np.testing.assert_array_equal(times[r], alone_times)
             np.testing.assert_array_equal(out.quantiles[r], alone_q)
@@ -152,8 +158,8 @@ class TestForecastCsv:
         """det outside [0, 1] is clipped before denormalizing, so no column
         holds a negative count that `load_csv` would reject."""
         model = make_model(seed=13)
-        window, meta = make_window(seed=14)
-        times, q, det = roll(model, window, meta, 96)
+        window = make_window(seed=14)
+        times, q, det = roll(model, window, 96)
         assert (det < 0).any() and (det > 1).any()  # the case under test occurs
         norm = Normalizer(mins=np.full(8, 2.0), maxs=np.full(8, 12.0))
         path = tmp_path / "forecast.csv"
@@ -164,8 +170,8 @@ class TestForecastCsv:
 
     def test_csv_layout(self, tmp_path):
         model = make_model(seed=13)
-        window, meta = make_window(seed=14)
-        times, q, det = roll(model, window, meta, 96)
+        window = make_window(seed=14)
+        times, q, det = roll(model, window, 96)
         norm = Normalizer(mins=np.zeros(8), maxs=np.ones(8) * 10)
         path = tmp_path / "forecast.csv"
         forecast_to_csv(times, 2, q, det, norm, str(path))
@@ -195,8 +201,8 @@ class TestForecastCsv:
         """Rows that raise partway leave an existing file byte-identical and
         no temp file in its directory."""
         model = make_model(seed=13)
-        window, meta = make_window(seed=14)
-        times, q, det = roll(model, window, meta, 96)
+        window = make_window(seed=14)
+        times, q, det = roll(model, window, 96)
         norm = Normalizer(mins=np.zeros(8), maxs=np.ones(8) * 10)
         path = tmp_path / "forecast.csv"
         forecast_to_csv(times, 2, q, det, norm, str(path))
