@@ -16,7 +16,7 @@ import sys
 from . import metrics as M
 from . import synth
 from .data import (STEP, Normalizer, chronological_split, format_instants, load_csv,
-                   make_samples, parse_timestamp, save_csv)
+                   make_samples, parse_timestamp, save_csv, shared_span)
 from .model import Hyperparams, read_settings
 from .rollout import forecast_to_csv, rollout, window_from_records
 from .synth import STEPS_PER_DAY
@@ -88,16 +88,16 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     config = RunConfig.load(args.config)
     hp, cfg = config.hyperparams, config.train
-    series = load_csv(args.data)
+    series = shared_span(load_csv(args.data))
 
     split = config.split
     steps = (split["train_days"] * STEPS_PER_DAY,
              split["val_days"] * STEPS_PER_DAY,
              split["test_days"] * STEPS_PER_DAY)
-    available = min(len(s) for s in series)
+    available = len(series[0])
     if steps[0] + steps[1] > available:
         raise UsageError(
-            f"data has {available} steps per carrier but the split needs "
+            f"data has {available} steps shared by every carrier but the split needs "
             f"{steps[0]}+{steps[1]} for train+val; shrink split days")
     # the test span may be held in a separate file; only train+val are required
     test_steps = min(steps[2], available - steps[0] - steps[1])
@@ -116,9 +116,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_forecast(args) -> int:
-    model, _, normalizer = load_checkpoint(args.model)
     if args.horizon < 1:
         raise UsageError("--horizon must be >= 1")
+    model, _, normalizer = load_checkpoint(args.model)
     series = {s.carrier_id: s for s in load_csv(args.data)}
     if args.carrier not in series:
         raise UsageError(f"carrier {args.carrier} not present in {args.data}")

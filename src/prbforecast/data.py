@@ -203,9 +203,22 @@ def save_csv(series_list: list[KpiSeries], path: str) -> int:
     return rows
 
 
+def shared_span(series_list: list[KpiSeries]) -> list[KpiSeries]:
+    """Every series trimmed to the instants that all of them cover (empty
+    series if they share none)."""
+    lo = max(s.times[0] for s in series_list)
+    hi = min(s.times[-1] for s in series_list)
+    out = []
+    for s in series_list:
+        a, b = np.searchsorted(s.times, lo), np.searchsorted(s.times, hi, side="right")
+        out.append(KpiSeries(s.carrier_id, s.times[a:b], s.values[a:b]))
+    return out
+
+
 def chronological_split(series_list: list[KpiSeries],
                         parts) -> tuple[list[KpiSeries], list[KpiSeries], list[KpiSeries]]:
-    """Split every carrier at the same cut instants.
+    """Split every carrier at the same cut instants, counted in steps of
+    the span that all carriers share.
 
     `parts` is either (train_frac, val_frac, test_frac) summing to <= 1, or
     (train_steps, val_steps, test_steps) as integers. The test part may be
@@ -213,7 +226,8 @@ def chronological_split(series_list: list[KpiSeries],
     """
     if not series_list:
         raise ValueError("no series to split")
-    n = min(len(s) for s in series_list)
+    series_list = shared_span(series_list)
+    n = len(series_list[0])
     a, b, c = parts
     if isinstance(a, float) or isinstance(b, float) or isinstance(c, float):
         n_train, n_val = int(n * a), int(n * b)
@@ -288,12 +302,12 @@ class Normalizer:
 
 def sample_dtype(n_past: int, n_future: int) -> np.dtype:
     """One (encoder window, decoder target block) pair for a single carrier:
-    normalized float32 features and the five int64 calendar indices of
-    `calendar_meta`, covering a contiguous N+M grid segment."""
+    normalized float32 features over a contiguous N+M grid segment, the
+    `datetime64[m]` instant of its first target step, and the carrier."""
     return np.dtype([("enc_x", np.float32, (n_past, N_FEATURES)),
-                     ("enc_meta", np.int64, (n_past, 5)),
                      ("targets", np.float32, (n_future, N_FEATURES)),
-                     ("dec_meta", np.int64, (n_future, 5))])
+                     ("start", "datetime64[m]"),
+                     ("carrier", np.int64)])
 
 
 def make_samples(series_list: list[KpiSeries], normalizer: Normalizer,
@@ -310,19 +324,22 @@ def make_samples(series_list: list[KpiSeries], normalizer: Normalizer,
                 f"carrier {series.carrier_id}: series length {len(series)} "
                 f"shorter than N+M={window}")
         feats = normalizer.apply(series.values).astype(np.float32)
-        meta = calendar_meta(series.times, series.carrier_id)
-        # (samples, window, columns) views, one row per window start
+        # (samples, window, 9) view, one row per window start
         x = sliding_window_view(feats, window, axis=0).swapaxes(1, 2)
-        m = sliding_window_view(meta, window, axis=0).swapaxes(1, 2)
         part = np.empty(len(x), dtype)
         part["enc_x"], part["targets"] = x[:, :n_past], x[:, n_past:]
-        part["enc_meta"], part["dec_meta"] = m[:, :n_past], m[:, n_past:]
+        part["start"] = series.times[n_past:n_past + len(x)]
+        part["carrier"] = series.carrier_id
         parts.append(part)
     return np.concatenate(parts) if parts else np.empty(0, dtype)
 
 
 def batch_samples(samples):
-    """Contiguous batched arrays (enc_x, enc_meta, targets, dec_meta) from
-    a sample array or a list of its records."""
+    """Batched arrays (enc_x, enc_meta, targets, dec_meta) from a sample array
+    or a list of its records; calendar rows come from `start` as in `rollout`."""
     batch = np.asarray(samples, dtype=samples[0].dtype)
-    return tuple(np.ascontiguousarray(batch[name]) for name in batch.dtype.names)
+    enc_x, targets = (np.ascontiguousarray(batch[k]) for k in ("enc_x", "targets"))
+    n = enc_x.shape[1]
+    meta = calendar_meta(batch["start"][:, None] + np.arange(-n, targets.shape[1]) * STEP,
+                         batch["carrier"][:, None])
+    return enc_x, meta[:, :n], targets, meta[:, n:]

@@ -74,10 +74,10 @@ def embedding_sum(proj: Tensor, pos_table: Tensor, tables: EmbeddingTables,
                   meta: np.ndarray) -> Tensor:
     """(B, T, d) `proj` plus each step's `pos_table` row, then the month,
     weekday, hour, minute and carrier rows that (B, T, 5) `meta` names, added
-    in that order as one tape op. Value and gradients are bit-identical to the
-    chain of `add(out, embedding_lookup(table, idx))` ops; each table gets
-    the same one-hot GEMM gradient. An index outside its table raises
-    IndexError naming the first such table."""
+    in that order as one tape op. `proj` and the tables share one dtype. Value
+    and gradients are bit-identical to the chain of `add` and `embedding_lookup`
+    ops; each table gets the same one-hot GEMM gradient. An index outside its
+    table raises IndexError naming the first such table."""
     meta = np.asarray(meta, dtype=np.int64)
     # Viewed as uint64 a negative index wraps above every table size, so one
     # compare checks both bounds.
@@ -90,20 +90,15 @@ def embedding_sum(proj: Tensor, pos_table: Tensor, tables: EmbeddingTables,
     lookups = [(pos_table, np.arange(proj.shape[1]))]
     lookups += [(getattr(tables, name), meta[..., i]) for i, name in enumerate(META_ORDER)]
     out = proj.data
-    dtypes = [out.dtype]  # of each partial sum, as the chain's add outputs
     for table, idx in lookups:
         out = out + table.data[idx]
-        dtypes.append(out.dtype)
 
     def backward(g):
-        # Walk the chain backwards, rounding g to each partial sum's dtype.
-        for (table, idx), dtype in zip(reversed(lookups), reversed(dtypes[:-1])):
+        for table, idx in lookups:
             if table.requires_grad:
                 flat = np.broadcast_to(idx, g.shape[:-1]).reshape(-1)
-                one_hot = (flat[:, None] == np.arange(table.shape[0])).astype(table.dtype)
-                rows_grad = g.astype(table.dtype, copy=False).reshape(-1, g.shape[-1])
-                T._accumulate(table, one_hot.T @ rows_grad)
-            g = g.astype(dtype, copy=False)
+                one_hot = (flat[:, None] == np.arange(table.shape[0])).astype(g.dtype)
+                T._accumulate(table, one_hot.T @ g.reshape(-1, g.shape[-1]))
         T._accumulate(proj, g)
 
     return T._result(out, (proj, *(table for table, _ in lookups)), backward)

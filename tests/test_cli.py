@@ -6,6 +6,7 @@ import os
 import pytest
 
 from prbforecast.cli import main
+from prbforecast.data import STEP, load_csv, save_csv
 from prbforecast.training import checkpoint_bytes, load_checkpoint
 
 from conftest import edit_header
@@ -116,6 +117,16 @@ class TestTrain:
         assert main(["train", "--data", str(workspace["data"]),
                      "--config", str(config),
                      "--out", str(tmp_path / "m.rupf")]) == 1
+
+    def test_split_counts_the_span_every_carrier_shares(self, workspace, tmp_path, capsys):
+        # 4 days per carrier, carrier 1 two days later: 2 shared days, 3 needed
+        series = load_csv(str(workspace["data"]))
+        series[1].times = series[1].times + 2 * 96 * STEP
+        data = tmp_path / "shifted.csv"
+        save_csv(series, str(data))
+        assert main(["train", "--data", str(data), "--config", str(workspace["config"]),
+                     "--out", str(tmp_path / "m.rupf")]) == 1
+        assert "data has 192 steps shared by every carrier" in capsys.readouterr().err
 
     def test_zero_test_days_keeps_the_validation_span(self, workspace, tmp_path):
         # no test span: validation still gets exactly val_days, not the rest
@@ -352,19 +363,19 @@ class TestEval:
         assert len(calls) == 1
         assert sorted(os.listdir(tmp_path / "plots")) == ["carrier_0.svg", "carrier_1.svg"]
 
-    @pytest.mark.parametrize("flags, message", [
-        (["--horizon", "1"], "error: --horizon must be >= 2\n"),
-        (["--anchors", "0"], "error: --anchors must be >= 1\n"),
-    ], ids=["horizon", "anchors"])
-    def test_bad_flag_is_named_before_anything_is_loaded(self, tmp_path, capsys, flags,
-                                                         message):
+    @pytest.mark.parametrize("argv, message", [
+        (["eval", "--report", "out", "--horizon", "1"], "error: --horizon must be >= 2\n"),
+        (["eval", "--report", "out", "--anchors", "0"], "error: --anchors must be >= 1\n"),
+        (["forecast", "--out", "out", "--carrier", "0", "--from", "2024-01-01T00:00:00Z",
+          "--horizon", "0"], "error: --horizon must be >= 1\n"),
+    ], ids=["horizon", "anchors", "forecast"])
+    def test_bad_flag_is_named_before_anything_is_loaded(self, tmp_path, monkeypatch,
+                                                         capsys, argv, message):
         # neither file exists, so reading either would end in an I/O error (exit 3)
-        report = tmp_path / "r.json"
-        assert main(["eval", "--model", str(tmp_path / "absent.rupf"),
-                     "--data", str(tmp_path / "absent.csv"), "--report", str(report)]
-                    + flags) == 1
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--model", "absent.rupf", "--data", "absent.csv"]) == 1
         assert capsys.readouterr().err == message
-        assert not report.exists()
+        assert not (tmp_path / "out").exists()
 
 
 class TestParser:

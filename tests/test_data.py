@@ -8,9 +8,9 @@ import pytest
 
 from prbforecast import data as D
 from prbforecast.data import (STEP, IngestionError, KpiSeries, Normalizer,
-                              calendar_meta, chronological_split, load_csv,
-                              make_samples, residual_ratio, save_csv,
-                              to_datetime64)
+                              batch_samples, calendar_meta, chronological_split,
+                              load_csv, make_samples, residual_ratio,
+                              sample_dtype, save_csv, to_datetime64)
 
 UTC = timezone.utc
 
@@ -259,6 +259,23 @@ class TestSplit:
                 np.testing.assert_array_equal(s["enc_x"], feats[i:i + n_past])
             assert part_ts.isdisjoint(train_ts)
 
+    def test_carriers_are_cut_at_the_same_instants(self):
+        # carrier 1 starts 2 h after carrier 0; both are cut in the shared span
+        series = [make_series(30, 0, datetime(2024, 3, 4, tzinfo=UTC)),
+                  make_series(30, 1, datetime(2024, 3, 4, 2, tzinfo=UTC))]
+        parts = chronological_split(series, (10, 5, 5))
+        for part, n in zip(parts, (10, 5, 5)):
+            assert [len(s) for s in part] == [n, n]
+            np.testing.assert_array_equal(part[0].times, part[1].times)
+        assert parts[0][0].times[0] == np.datetime64("2024-03-04T02:00")
+        np.testing.assert_array_equal(parts[0][0].values, series[0].values[8:18])
+
+    def test_carriers_sharing_no_instant_cannot_be_split(self):
+        series = [make_series(30, 0, datetime(2024, 3, 4, tzinfo=UTC)),
+                  make_series(30, 1, datetime(2024, 3, 5, tzinfo=UTC))]
+        with pytest.raises(ValueError, match="cannot split 0 steps"):
+            chronological_split(series, (10, 5, 5))
+
     def test_insufficient_length(self):
         with pytest.raises(ValueError):
             chronological_split([make_series(10)], (8, 4, 4))
@@ -320,22 +337,39 @@ class TestMakeSamples:
         np.testing.assert_array_equal(samples[0]["enc_x"], feats[:4])
         np.testing.assert_array_equal(samples[0]["targets"], feats[4:6])
 
-    def test_decoder_meta_follows_grid(self):
-        series = make_series(10)
-        norm = Normalizer.fit([series])
-        s = make_samples([series], norm, 4, 2)[0]
-        expected = [calendar_oracle(t.astype(datetime).replace(tzinfo=UTC), 0)
-                    for t in series.times[4:6]]
-        assert s["dec_meta"].tolist() == [list(e) for e in expected]
+    def test_sample_holds_window_start_and_carrier(self):
+        series = make_series(10, carrier=7)
+        samples = make_samples([series], Normalizer.fit([series]), 4, 2)
+        assert samples.dtype == sample_dtype(4, 2)
+        assert samples.dtype.names == ("enc_x", "targets", "start", "carrier")
+        assert samples.dtype.itemsize == 232
+        np.testing.assert_array_equal(samples["start"], series.times[4:9])
+        assert samples["carrier"].tolist() == [7] * 5
 
-    def test_meta_is_contiguous_grid_segment(self):
-        series = make_series(12)
-        norm = Normalizer.fit([series])
-        for s in make_samples([series], norm, 4, 2):
-            slots = np.concatenate([s["enc_meta"][:, 3], s["dec_meta"][:, 3]])
-            hours = np.concatenate([s["enc_meta"][:, 2], s["dec_meta"][:, 2]])
-            combined = hours * 4 + slots
-            np.testing.assert_array_equal(np.diff(combined) % 96, np.ones(5))
+    def test_batch_calendar_rows_are_those_of_the_window_instants(self):
+        # from Thursday 2024-02-29T23:00: windows cross midnight and the month end
+        start = datetime(2024, 2, 29, 23, 0, tzinfo=UTC)
+        series = [make_series(12, 20, start), make_series(12, 3, start)]
+        samples = make_samples(series, Normalizer.fit(series), 4, 2)
+        _, enc_meta, _, dec_meta = batch_samples(samples)
+        windows = [(s, i) for s in sorted(series, key=lambda s: s.carrier_id)
+                   for i in range(7)]
+        assert len(windows) == len(samples)
+        for (s, i), enc, dec in zip(windows, enc_meta, dec_meta):
+            np.testing.assert_array_equal(enc, calendar_meta(s.times[i:i + 4], s.carrier_id))
+            np.testing.assert_array_equal(dec, calendar_meta(s.times[i + 4:i + 6], s.carrier_id))
+        # month and weekday of the first window's rows: Feb/Thursday, then Mar/Friday
+        rows = np.concatenate([enc_meta[0], dec_meta[0]])[:, :2].tolist()
+        assert rows == [[1, 3]] * 4 + [[2, 4]] * 2
+
+    def test_batch_of_a_list_of_records_equals_batch_of_the_array(self):
+        series = [make_series(12, 0), make_series(12, 5)]
+        samples = make_samples(series, Normalizer.fit(series), 4, 2)
+        idx = [9, 0, 3, 13]
+        for want, got in zip(batch_samples(samples[idx]),
+                             batch_samples([samples[i] for i in idx])):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
 
     def test_too_short_series_rejected(self):
         series = make_series(5)

@@ -126,10 +126,8 @@ def table_leaves(tables):
     return [tables.enc_pos] + [getattr(tables, name) for name in META_ORDER]
 
 
-@pytest.mark.parametrize("proj_dtype", [np.float32, np.float64])
-def test_embedding_sum_is_bitwise_equal_to_the_lookup_chain(proj_dtype):
-    """At B=400 with float32 tables, for a float32 projection as in the model
-    and a float64 one (mixed precision)."""
+def test_embedding_sum_is_bitwise_equal_to_the_lookup_chain():
+    """At B=400 with a float32 projection and float32 tables, as in the model."""
     features, meta = make_inputs(batch=400, steps=4, seed=7)
     rng = np.random.default_rng(8)
     proj_data = rng.standard_normal((400, 4, 64))
@@ -137,7 +135,7 @@ def test_embedding_sum_is_bitwise_equal_to_the_lookup_chain(proj_dtype):
     results = []
     for op in (composed_embedding_sum, embedding_sum):
         tables = make_tables(d_emb=64, seed=9)
-        proj = T.Tensor(proj_data, requires_grad=True, dtype=proj_dtype)
+        proj = T.Tensor(proj_data, requires_grad=True, dtype=np.float32)
         out = op(proj, tables.enc_pos, tables, meta)
         T.backward(T.tsum(T.mul(out, probe)))
         results.append([out.data, proj.grad] + [t.grad for t in table_leaves(tables)])

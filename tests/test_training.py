@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from prbforecast import tensor as T
-from prbforecast.data import Normalizer, sample_dtype
+from prbforecast.data import N_CARRIERS, STEP, Normalizer, sample_dtype
 from prbforecast.model import QUANTILES, ForecastModel, Hyperparams
 from prbforecast.tensor import Tensor
 from prbforecast.training import (AdamState, CheckpointError, TrainConfig,
@@ -21,20 +21,14 @@ TINY = Hyperparams(d_emb=4, n_enc_layers=1, n_dec_layers=1, heads=2, d_ff=8,
 
 
 def make_samples(n, hp=TINY, seed=0):
+    """Random windows, each at a random grid instant of 2024 for a random
+    carrier, so its calendar rows are those of real instants."""
     rng = np.random.default_rng(seed)
     samples = np.empty(n, sample_dtype(hp.n_past, hp.n_future))
-    for i in range(n):
-        meta = np.stack([
-            rng.integers(0, 12, hp.n_past + hp.n_future),
-            rng.integers(0, 7, hp.n_past + hp.n_future),
-            rng.integers(0, 24, hp.n_past + hp.n_future),
-            rng.integers(0, 4, hp.n_past + hp.n_future),
-            rng.integers(0, 21, hp.n_past + hp.n_future),
-        ], axis=-1)
-        samples[i] = (rng.random((hp.n_past, 9)).astype(np.float32),
-                      meta[:hp.n_past],
-                      rng.random((hp.n_future, 9)).astype(np.float32),
-                      meta[hp.n_past:])
+    samples["enc_x"] = rng.random((n, hp.n_past, 9))
+    samples["targets"] = rng.random((n, hp.n_future, 9))
+    samples["start"] = np.datetime64("2024-01-01T00:00") + rng.integers(0, 366 * 96, n) * STEP
+    samples["carrier"] = rng.integers(0, N_CARRIERS, n)
     return samples
 
 
