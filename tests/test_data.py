@@ -337,6 +337,24 @@ class TestMakeSamples:
         np.testing.assert_array_equal(samples[0]["enc_x"], feats[:4])
         np.testing.assert_array_equal(samples[0]["targets"], feats[4:6])
 
+    def test_decoder_meta_follows_grid(self):
+        series = make_series(10)
+        norm = Normalizer.fit([series])
+        _, _, _, dec_meta = batch_samples(make_samples([series], norm, 4, 2)[:1])
+        expected = [calendar_oracle(t.astype(datetime).replace(tzinfo=UTC), 0)
+                    for t in series.times[4:6]]
+        assert dec_meta[0].tolist() == [list(e) for e in expected]
+
+    def test_meta_is_contiguous_grid_segment(self):
+        series = make_series(12)
+        norm = Normalizer.fit([series])
+        _, enc_meta, _, dec_meta = batch_samples(make_samples([series], norm, 4, 2))
+        for enc, dec in zip(enc_meta, dec_meta):
+            slots = np.concatenate([enc[:, 3], dec[:, 3]])
+            hours = np.concatenate([enc[:, 2], dec[:, 2]])
+            combined = hours * 4 + slots
+            np.testing.assert_array_equal(np.diff(combined) % 96, np.ones(5))
+
     def test_sample_holds_window_start_and_carrier(self):
         series = make_series(10, carrier=7)
         samples = make_samples([series], Normalizer.fit([series]), 4, 2)
