@@ -2,8 +2,9 @@
 
 Tensors wrap numpy arrays (float32 by default; float64 is allowed so test
 oracles can run at higher precision). Differentiable ops record a backward
-closure on a global tape; `backward()` replays the tape in reverse and then
-clears it, so a second backward without a fresh forward pass is an error.
+closure on a global tape; `backward()` pops and runs the closures from the
+end and leaves the tape empty, so a second backward without a fresh forward
+pass is an error.
 
 Only the broadcasting the model needs is supported: equal shapes, scalars,
 and a trailing-dimension bias vector. Keeps every backward rule auditable.
@@ -228,11 +229,15 @@ def dropout(a: Tensor, p: float, training: bool) -> Tensor:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
     if not training or p == 0.0:
         return a
-    keep = (_rng.random(a.shape) >= p).astype(a.data.dtype) / a.data.dtype.type(1.0 - p)
-    data = a.data * keep
+    kept = _rng.random(a.shape) >= p
+
+    def scaled_mask():  # rebuilt in backward, so only the boolean mask is saved
+        return kept.astype(a.dtype) / a.dtype.type(1.0 - p)
+
+    data = a.data * scaled_mask()
 
     def backward(g):
-        _accumulate(a, g * keep)
+        _accumulate(a, g * scaled_mask())
 
     return _result(data, (a,), backward)
 
@@ -385,7 +390,8 @@ def attention(params, q_in: Tensor, kv_in: Tensor, heads: int,
     k = split(_affine(kv2, p.wk, p.bk), t_kv)
     v = split(_affine(kv2, p.wv, p.bv), t_kv)
     scores = np.matmul(q, k.transpose(0, 1, 3, 2))
-    scores *= scores.dtype.type(s)
+    scores_dtype = scores.dtype  # backward needs only this, not the array
+    scores *= scores_dtype.type(s)
     weights = _softmax(scores, mask)
     ctx2 = merge(np.matmul(weights, v))
     data = _affine(ctx2, p.wo, p.bo).reshape(batch, t_q, d)
@@ -397,8 +403,8 @@ def attention(params, q_in: Tensor, kv_in: Tensor, heads: int,
         dctx = split(_affine_backward(ctx2, p.wo, p.bo, g.reshape(-1, d), True), t_q)
         dv = np.matmul(weights.transpose(0, 1, 3, 2), dctx).astype(v.dtype, copy=False)
         dweights = np.matmul(dctx, v.transpose(0, 1, 3, 2))
-        dscores = _softmax_backward(weights, dweights).astype(scores.dtype, copy=False)
-        dscores = (dscores * s).astype(scores.dtype, copy=False)
+        dscores = _softmax_backward(weights, dweights).astype(scores_dtype, copy=False)
+        dscores = (dscores * s).astype(scores_dtype, copy=False)
         dq = np.matmul(dscores, k).astype(q.dtype, copy=False)
         dk = np.matmul(dscores.transpose(0, 1, 3, 2), q).astype(k.dtype, copy=False)
         need_q, need_kv = q_in.requires_grad, kv_in.requires_grad
@@ -458,14 +464,19 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5,
 
 
 def backward(loss: Tensor) -> None:
-    """Populate `.grad` on every reachable requires_grad tensor, then clear
-    the tape. Gradients from fan-out are summed."""
+    """Populate `.grad` on every reachable requires_grad tensor. Each op is
+    popped off the tape as it runs, so its saved arrays are freed once its
+    backward is done; the tape is left empty even if a closure raises.
+    Gradients from fan-out are summed."""
     if loss.data.size != 1:
         raise AutodiffError(f"backward needs a scalar loss, got shape {loss.shape}")
     if len(_tape) == 0:
         raise AutodiffError("tape is empty: run a forward pass before backward")
     loss.grad = np.ones_like(loss.data)
-    for out, fn in reversed(_tape):
-        if out.grad is not None:
-            fn(out.grad)
-    _tape.clear()
+    try:
+        while _tape:
+            out, fn = _tape.pop()
+            if out.grad is not None:
+                fn(out.grad)
+    finally:
+        _tape.clear()

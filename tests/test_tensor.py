@@ -405,6 +405,34 @@ class TestBackwardContract:
         with pytest.raises(AutodiffError, match="empty"):
             T.backward(loss)
 
+    def test_raising_backward_closure_leaves_the_tape_empty(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+
+        def fail(g):
+            raise RuntimeError("backward failed")
+
+        loss = T.tsum(T._result(x.data * 2, (x,), fail))
+        with pytest.raises(RuntimeError, match="backward failed"):
+            T.backward(loss)
+        assert len(T.tape()) == 0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dropout_gradient_is_g_times_the_scaled_keep_mask(self, dtype):
+        """The gradient is the incoming one times the forward's scaled mask,
+        bit for bit; the decoder runs dropout in float64."""
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.standard_normal((6, 5)), requires_grad=True, dtype=dtype)
+        g = rng.standard_normal((6, 5)).astype(dtype)
+        p = 0.3
+        T.seed_all(21)
+        out = T.dropout(x, p, training=True)
+        T.backward(T.tsum(T.mul(out, Tensor(g, dtype=dtype))))  # out.grad is g
+        T.seed_all(21)
+        mask = (T.get_rng().random(x.shape) >= p).astype(dtype) / np.dtype(dtype).type(1 - p)
+        assert out.data.tobytes() == (x.data * mask).tobytes()
+        assert x.grad.dtype == dtype
+        assert x.grad.tobytes() == (g * mask).tobytes()
+
     def test_constant_loss_gives_zero_gradients(self):
         x = Tensor([5.0], requires_grad=True)
         loss = T.tsum(T.scale(x, 0.0))

@@ -356,6 +356,14 @@ class TestCheckpoint:
         assert hashlib.sha256(blob).hexdigest() == (
             "7455c345ea0ff26dea7f79a7e8de92e0a994a3e1a9d72b5b46308b24d89903c1")
 
+    def test_trained_tiny_bytes_are_pinned(self):
+        """Every gradient byte of two seeded epochs, pinned through the
+        weights they leave. Matrix products run here, so the digest is that
+        of this float32 BLAS summation order."""
+        model, cfg, norm = self._trained()
+        assert hashlib.sha256(checkpoint_bytes(model, cfg, norm)).hexdigest() == (
+            "7d97fb8295f0c6c56f3e0948bee703aad6563fb24f5a930d902f71c66cb176f4")
+
     def test_payload_size_matches_param_count(self, tmp_path):
         from prbforecast.model import param_count
         model, cfg, norm = self._trained()
