@@ -111,6 +111,13 @@ def calendar_meta(times, carrier_id) -> np.ndarray:
     return np.stack(columns, axis=-1)
 
 
+def step_calendar(starts, carrier_ids, before: int, after: int):
+    """(B, before + after) instants from `before` steps before each of B `starts`,
+    and their calendar rows: the one rule of training batches and rollouts."""
+    times = np.asarray(starts, dtype="datetime64[m]")[:, None] + np.arange(-before, after) * STEP
+    return times, calendar_meta(times, np.asarray(carrier_ids)[:, None])
+
+
 def load_csv(path: str) -> list[KpiSeries]:
     """Load and validate a KPI CSV; returns one series per carrier,
     carrier_id ascending, time-ordered on a gapless grid. A rejected row is
@@ -336,10 +343,9 @@ def make_samples(series_list: list[KpiSeries], normalizer: Normalizer,
 
 def batch_samples(samples):
     """Batched arrays (enc_x, enc_meta, targets, dec_meta) from a sample array
-    or a list of its records; calendar rows come from `start` as in `rollout`."""
+    or a list of its records; calendar rows come from `start` by `step_calendar`."""
     batch = np.asarray(samples, dtype=samples[0].dtype)
     enc_x, targets = (np.ascontiguousarray(batch[k]) for k in ("enc_x", "targets"))
     n = enc_x.shape[1]
-    meta = calendar_meta(batch["start"][:, None] + np.arange(-n, targets.shape[1]) * STEP,
-                         batch["carrier"][:, None])
+    _, meta = step_calendar(batch["start"], batch["carrier"], n, targets.shape[1])
     return enc_x, meta[:, :n], targets, meta[:, n:]

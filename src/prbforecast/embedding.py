@@ -44,30 +44,22 @@ class EmbeddingTables:
 
 
 def embed_tokens(tables: EmbeddingTables, features: np.ndarray, meta: np.ndarray,
-                 side: str, dropout_rate: float = 0.0, training: bool = False) -> Tensor:
-    """Build (B, T, d_emb) tokens from (B, T, 9) features and (B, T, 5) meta.
-
-    `side` selects the positional table: "encoder" (T = N) or "decoder"
-    (T = M). Dropout is applied after the embedding sum when training.
-    """
-    if side == "encoder":
-        pos_table = tables.enc_pos
-    elif side == "decoder":
-        pos_table = tables.dec_pos
-    else:
-        raise ValueError(f"side must be 'encoder' or 'decoder', got {side!r}")
+                 pos_table: Tensor, dropout_rate: float = 0.0) -> Tensor:
+    """Build (B, T, d_emb) tokens from (B, T, 9) features and (B, T, 5) meta
+    over `pos_table`, `tables.enc_pos` (T = N) or `tables.dec_pos` (T = M),
+    with dropout at `dropout_rate` after the embedding sum."""
     batch, steps, n_feat = features.shape
     if n_feat != N_FEATURES:
         raise T.ShapeError(f"expected {N_FEATURES} features, got {n_feat}")
     if steps != pos_table.shape[0]:
         raise T.ShapeError(
-            f"{side} window of {steps} steps does not match positional table "
+            f"window of {steps} steps does not match positional table "
             f"of length {pos_table.shape[0]}")
     if meta.shape != (batch, steps, len(META_ORDER)):
         raise T.ShapeError(f"meta shape {meta.shape} does not match features")
     x = Tensor(features, dtype=tables.w_proj.data.dtype)
     out = embedding_sum(T.linear(x, tables.w_proj, tables.b_proj), pos_table, tables, meta)
-    return T.dropout(out, dropout_rate, training)
+    return T.dropout(out, dropout_rate)
 
 
 def embedding_sum(proj: Tensor, pos_table: Tensor, tables: EmbeddingTables,

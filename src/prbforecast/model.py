@@ -199,14 +199,13 @@ def causal_mask(steps: int) -> np.ndarray:
 
 
 def _attention(params: AttentionParams, q_in: Tensor, kv_in: Tensor, heads: int,
-               mask: np.ndarray | None, dropout_rate: float, training: bool) -> Tensor:
-    return T.dropout(T.attention(params, q_in, kv_in, heads, mask), dropout_rate, training)
+               mask: np.ndarray | None, dropout_rate: float) -> Tensor:
+    return T.dropout(T.attention(params, q_in, kv_in, heads, mask), dropout_rate)
 
 
-def _feed_forward(params: FeedForwardParams, x: Tensor,
-                  dropout_rate: float, training: bool) -> Tensor:
+def _feed_forward(params: FeedForwardParams, x: Tensor, dropout_rate: float) -> Tensor:
     h = T.relu(T.linear(x, params.w1, params.b1))
-    return T.dropout(T.linear(h, params.w2, params.b2), dropout_rate, training)
+    return T.dropout(T.linear(h, params.w2, params.b2), dropout_rate)
 
 
 class ForecastModel:
@@ -240,28 +239,26 @@ class ForecastModel:
 
     # -- forward passes ----------------------------------------------------
 
-    def encode(self, tokens: Tensor, training: bool = False) -> Tensor:
-        hp = self.hp
+    def encode(self, tokens: Tensor, dropout_rate: float = 0.0) -> Tensor:
         x = tokens
         for layer in self.enc_layers:
-            a = _attention(layer.attn, x, x, hp.heads, None, hp.dropout, training)
+            a = _attention(layer.attn, x, x, self.hp.heads, None, dropout_rate)
             x = T.layer_norm(x, layer.ln1.gain, layer.ln1.bias, residual=a)
-            f = _feed_forward(layer.ff, x, hp.dropout, training)
+            f = _feed_forward(layer.ff, x, dropout_rate)
             x = T.layer_norm(x, layer.ln2.gain, layer.ln2.bias, residual=f)
         return x
 
     def decode(self, z: Tensor, dec_tokens: Tensor,
-               training: bool = False) -> tuple[Tensor, Tensor]:
+               dropout_rate: float = 0.0) -> tuple[Tensor, Tensor]:
         """Raw (det, quantile) head outputs: the operands of `total_loss`."""
-        hp = self.hp
         mask = causal_mask(dec_tokens.shape[1])
         x = dec_tokens
         for layer in self.dec_layers:
-            a = _attention(layer.self_attn, x, x, hp.heads, mask, hp.dropout, training)
+            a = _attention(layer.self_attn, x, x, self.hp.heads, mask, dropout_rate)
             x = T.layer_norm(x, layer.ln1.gain, layer.ln1.bias, residual=a)
-            c = _attention(layer.cross_attn, x, z, hp.heads, None, hp.dropout, training)
+            c = _attention(layer.cross_attn, x, z, self.hp.heads, None, dropout_rate)
             x = T.layer_norm(x, layer.ln2.gain, layer.ln2.bias, residual=c)
-            f = _feed_forward(layer.ff, x, hp.dropout, training)
+            f = _feed_forward(layer.ff, x, dropout_rate)
             x = T.layer_norm(x, layer.ln3.gain, layer.ln3.bias, residual=f)
         out = T.linear(x, self.w_head, self.b_head)
         return (T.slice_lastdim(out, 0, N_DET_FEATURES),
@@ -274,22 +271,19 @@ class ForecastModel:
         return shifted
 
     def _forward(self, enc_x: np.ndarray, enc_meta: np.ndarray, dec_cont: np.ndarray,
-                 dec_meta: np.ndarray, training: bool) -> tuple[Tensor, Tensor]:
+                 dec_meta: np.ndarray, rate: float) -> tuple[Tensor, Tensor]:
         """Raw head outputs for encoder windows and decoder continuous inputs."""
-        hp = self.hp
-        enc_tokens = embed_tokens(self.embed, enc_x, enc_meta, "encoder",
-                                  hp.dropout, training)
-        z = self.encode(enc_tokens, training)
-        dec_tokens = embed_tokens(self.embed, dec_cont, dec_meta, "decoder",
-                                  hp.dropout, training)
-        return self.decode(z, dec_tokens, training)
+        z = self.encode(embed_tokens(self.embed, enc_x, enc_meta, self.embed.enc_pos, rate), rate)
+        dec_tokens = embed_tokens(self.embed, dec_cont, dec_meta, self.embed.dec_pos, rate)
+        return self.decode(z, dec_tokens, rate)
 
     def forward_training(self, enc_x: np.ndarray, enc_meta: np.ndarray,
                          targets: np.ndarray, dec_meta: np.ndarray,
                          training: bool = True) -> tuple[Tensor, Tensor]:
-        """Teacher-forced raw (det, quantile) head outputs."""
+        """Teacher-forced raw (det, quantile) head outputs; dropout only if `training`."""
         dec_cont = self._decoder_continuous_teacher(np.asarray(targets))
-        return self._forward(enc_x, enc_meta, dec_cont, dec_meta, training)
+        rate = self.hp.dropout if training else 0.0
+        return self._forward(enc_x, enc_meta, dec_cont, dec_meta, rate)
 
     def forward_block(self, enc_x: np.ndarray, enc_meta: np.ndarray,
                       dec_meta: np.ndarray) -> DecoderOutput:
@@ -298,7 +292,7 @@ class ForecastModel:
         zero; quantiles come back sorted ascending and clipped to [0,1]."""
         dec_cont = np.zeros((len(enc_x), self.hp.n_future, N_FEATURES), dtype=np.float32)
         with T.no_grad():
-            det, quant = self._forward(enc_x, enc_meta, dec_cont, dec_meta, training=False)
+            det, quant = self._forward(enc_x, enc_meta, dec_cont, dec_meta, 0.0)
         quantiles = np.clip(np.sort(quant.data, axis=-1), 0.0, 1.0)
         return DecoderOutput(det=det.data.copy(), quantiles=quantiles)
 

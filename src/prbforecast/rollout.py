@@ -15,7 +15,7 @@ import csv
 import numpy as np
 
 from .data import (FEATURE_NAMES, N_DET_FEATURES, N_FEATURES, STEP, KpiSeries,
-                   Normalizer, atomic_open, calendar_meta, format_instants)
+                   Normalizer, atomic_open, format_instants, step_calendar)
 from .model import DecoderOutput, ForecastModel
 
 
@@ -37,9 +37,7 @@ def rollout(model: ForecastModel, windows: np.ndarray, starts, carrier_ids,
         raise ValueError(f"need B >= 1 windows of shape ({n}, {N_FEATURES}) with "
                          f"as many starts and carriers, got {windows.shape}")
     steps = -(-horizon // m) * m
-    starts = np.asarray(starts, dtype="datetime64[m]")
-    times = starts[:, None] + np.arange(-n, steps) * STEP  # (B, N + steps)
-    meta = calendar_meta(times, np.asarray(carrier_ids)[:, None])
+    times, meta = step_calendar(starts, carrier_ids, n, steps)  # (B, N + steps)
     seq = np.empty((len(windows), n + steps, N_FEATURES), dtype=np.float32)
     seq[:, :n] = windows
     dets, quants = [], []

@@ -81,9 +81,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def zero_grad(self):
-        self.grad = None
-
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
@@ -224,10 +221,12 @@ def relu(a: Tensor) -> Tensor:
     return _result(data, (a,), backward)
 
 
-def dropout(a: Tensor, p: float, training: bool) -> Tensor:
+def dropout(a: Tensor, p: float) -> Tensor:
+    """Zero each element with probability `p`, scaling survivors by 1/(1 - p).
+    At `p == 0`, every inference pass's rate, it returns `a` itself and draws nothing."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
-    if not training or p == 0.0:
+    if p == 0.0:
         return a
     kept = _rng.random(a.shape) >= p
 

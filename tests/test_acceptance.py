@@ -263,10 +263,10 @@ def test_criterion_8_decoder_causality():
     model = ForecastModel(hp)
     enc_x, enc_meta, _, dec_meta = random_batch(hp, seed=42)
     with T.no_grad():
-        z = model.encode(embed_tokens(model.embed, enc_x, enc_meta, "encoder"))
+        z = model.encode(embed_tokens(model.embed, enc_x, enc_meta, model.embed.enc_pos))
 
         def run(dec_cont):
-            tokens = embed_tokens(model.embed, dec_cont, dec_meta, "decoder")
+            tokens = embed_tokens(model.embed, dec_cont, dec_meta, model.embed.dec_pos)
             det, quant = model.decode(z, tokens)
             return det.data.copy(), quant.data.copy()
 

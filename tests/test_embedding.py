@@ -31,7 +31,7 @@ def test_zeroed_tables_reduce_to_projection():
     for name in ("b_proj", "enc_pos", "month", "weekday", "hour", "minute", "carrier"):
         getattr(tables, name).data[:] = 0.0
     features, meta = make_inputs()
-    out = embed_tokens(tables, features, meta, "encoder")
+    out = embed_tokens(tables, features, meta, tables.enc_pos)
     expected = features @ tables.w_proj.data
     np.testing.assert_allclose(out.data, expected, atol=1e-6)
 
@@ -43,8 +43,8 @@ def test_carrier_additivity():
     meta_b = meta.copy()
     meta_a[..., 4] = 3
     meta_b[..., 4] = 7
-    out_a = embed_tokens(tables, features, meta_a, "encoder")
-    out_b = embed_tokens(tables, features, meta_b, "encoder")
+    out_a = embed_tokens(tables, features, meta_a, tables.enc_pos)
+    out_b = embed_tokens(tables, features, meta_b, tables.enc_pos)
     diff = tables.carrier.data[3] - tables.carrier.data[7]
     np.testing.assert_allclose(out_a.data - out_b.data,
                                np.broadcast_to(diff, out_a.shape), atol=1e-6)
@@ -57,8 +57,8 @@ def test_single_category_change_shifts_by_row_difference():
     meta_b = meta.copy()
     meta_a[0, 2, 2] = 5   # hour index of one token
     meta_b[0, 2, 2] = 19
-    out_a = embed_tokens(tables, features, meta_a, "encoder")
-    out_b = embed_tokens(tables, features, meta_b, "encoder")
+    out_a = embed_tokens(tables, features, meta_a, tables.enc_pos)
+    out_b = embed_tokens(tables, features, meta_b, tables.enc_pos)
     delta = out_a.data - out_b.data
     np.testing.assert_allclose(delta[0, [0, 1, 3]], 0.0, atol=1e-6)
     np.testing.assert_allclose(delta[0, 2],
@@ -70,25 +70,26 @@ def test_default_config_output_shape():
     tables = EmbeddingTables.create(hp.d_emb, hp.n_past, hp.n_future,
                                     drawing_factory(np.random.default_rng(0)))
     features, meta = make_inputs(batch=1, steps=hp.n_past)
-    out = embed_tokens(tables, features, meta, "encoder")
+    out = embed_tokens(tables, features, meta, tables.enc_pos)
     assert out.shape == (1, 4, 64)
 
 
 def test_decoder_side_uses_its_own_positional_table():
     tables = make_tables()
     features, meta = make_inputs(batch=1, steps=2)
-    enc_like = embed_tokens(tables, features, meta, "decoder")
+    enc_like = embed_tokens(tables, features, meta, tables.dec_pos)
     assert enc_like.shape == (1, 2, 8)
     tables.dec_pos.data[:] += 1.0
-    shifted = embed_tokens(tables, features, meta, "decoder")
+    shifted = embed_tokens(tables, features, meta, tables.dec_pos)
     np.testing.assert_allclose(shifted.data - enc_like.data, 1.0, atol=1e-6)
 
 
-def test_window_length_mismatch_rejected():
+@pytest.mark.parametrize("pos", ["enc_pos", "dec_pos"])
+def test_window_length_mismatch_rejected(pos):
     tables = make_tables()
     features, meta = make_inputs(batch=1, steps=3)
-    with pytest.raises(T.ShapeError):
-        embed_tokens(tables, features, meta, "encoder")
+    with pytest.raises(T.ShapeError, match="3 steps"):
+        embed_tokens(tables, features, meta, getattr(tables, pos))
 
 
 def test_meta_out_of_range_rejected():
@@ -96,7 +97,7 @@ def test_meta_out_of_range_rejected():
     features, meta = make_inputs()
     meta[..., 0] = 12
     with pytest.raises(IndexError, match="month"):
-        embed_tokens(tables, features, meta, "encoder")
+        embed_tokens(tables, features, meta, tables.enc_pos)
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -110,7 +111,7 @@ def test_meta_out_of_range_names_the_table_and_its_rows(bad, message):
     for column, value in bad.items():
         meta[0, 1, column] = value
     with pytest.raises(IndexError, match=message):
-        embed_tokens(tables, features, meta, "encoder")
+        embed_tokens(tables, features, meta, tables.enc_pos)
 
 
 def composed_embedding_sum(proj, pos_table, tables, meta):
@@ -169,7 +170,7 @@ def test_table_row_gradient_only_for_used_indices():
     tables = make_tables()
     features, meta = make_inputs(batch=1, steps=4, seed=2)
     meta[..., 2] = np.array([[3, 3, 17, 5]])  # hours used: {3, 5, 17}
-    out = embed_tokens(tables, features, meta, "encoder")
+    out = embed_tokens(tables, features, meta, tables.enc_pos)
     T.backward(T.tsum(out))
     grad_norms = np.abs(tables.hour.grad).sum(axis=1)
     used = {3, 5, 17}

@@ -48,7 +48,7 @@ class TestShapes:
         model = ForecastModel(hp)
         enc_x, enc_meta, _, _ = make_batch(hp)
         with T.no_grad():
-            tokens = embed_tokens(model.embed, enc_x, enc_meta, "encoder")
+            tokens = embed_tokens(model.embed, enc_x, enc_meta, model.embed.enc_pos)
             z = model.encode(tokens)
         assert z.shape == (1, 4, 64)
 
@@ -69,9 +69,9 @@ class TestEncoder:
         model = ForecastModel(hp)
         enc_x, enc_meta, _, _ = make_batch(hp, seed=5)
         with T.no_grad():
-            z1 = model.encode(embed_tokens(model.embed, enc_x, enc_meta, "encoder"))
+            z1 = model.encode(embed_tokens(model.embed, enc_x, enc_meta, model.embed.enc_pos))
             z2 = model.encode(embed_tokens(
-                model.embed, enc_x[:, ::-1].copy(), enc_meta[:, ::-1].copy(), "encoder"))
+                model.embed, enc_x[:, ::-1].copy(), enc_meta[:, ::-1].copy(), model.embed.enc_pos))
         assert not np.allclose(z1.data, z2.data)
 
     def test_encoder_gradient_matches_finite_differences(self):
@@ -82,11 +82,11 @@ class TestEncoder:
         params = model.params()
 
         def loss():
-            tokens = embed_tokens(model.embed, enc_x, enc_meta, "encoder")
+            tokens = embed_tokens(model.embed, enc_x, enc_meta, model.embed.enc_pos)
             return float((model.encode(tokens).data * w).sum())
 
         numeric = central_diff(loss, params)
-        tokens = embed_tokens(model.embed, enc_x, enc_meta, "encoder")
+        tokens = embed_tokens(model.embed, enc_x, enc_meta, model.embed.enc_pos)
         z = model.encode(tokens)
         T.backward(T.tsum(T.mul(z, T.Tensor(w, dtype=np.float64))))
         for p, num in zip(params, numeric):
@@ -103,11 +103,11 @@ class TestDecoder:
         model = ForecastModel(hp)
         enc_x, enc_meta, targets, dec_meta = make_batch(hp, seed=9)
         with T.no_grad():
-            tokens = embed_tokens(model.embed, enc_x, enc_meta, "encoder")
+            tokens = embed_tokens(model.embed, enc_x, enc_meta, model.embed.enc_pos)
             z = model.encode(tokens)
 
             def run(dec_cont):
-                dec_tokens = embed_tokens(model.embed, dec_cont, dec_meta, "decoder")
+                dec_tokens = embed_tokens(model.embed, dec_cont, dec_meta, model.embed.dec_pos)
                 det, quant = model.decode(z, dec_tokens)
                 return det.data.copy(), quant.data.copy()
 
@@ -126,16 +126,16 @@ class TestDecoder:
         model = ForecastModel(hp)
         enc_x, enc_meta, targets, dec_meta = make_batch(hp, seed=9)
         with T.no_grad():
-            tokens = embed_tokens(model.embed, enc_x, enc_meta, "encoder")
+            tokens = embed_tokens(model.embed, enc_x, enc_meta, model.embed.enc_pos)
             z = model.encode(tokens)
             dec_tokens = embed_tokens(
                 model.embed, np.zeros((1, hp.n_future, 9), dtype=np.float32),
-                dec_meta, "decoder")
+                dec_meta, model.embed.dec_pos)
             det_a, _ = model.decode(z, dec_tokens)
             zero_z = T.Tensor(np.zeros_like(z.data))
             dec_tokens = embed_tokens(
                 model.embed, np.zeros((1, hp.n_future, 9), dtype=np.float32),
-                dec_meta, "decoder")
+                dec_meta, model.embed.dec_pos)
             det_b, _ = model.decode(zero_z, dec_tokens)
         assert not np.allclose(det_a.data, det_b.data)
 
@@ -190,6 +190,21 @@ class TestTeacherForcing:
                                                     dec_meta, training=False)
         np.testing.assert_array_equal(det_a.data, det_b.data)
         np.testing.assert_array_equal(quant_a.data, quant_b.data)
+
+    @pytest.mark.parametrize("dropout, training", [(0.1, None), (0.1, False), (0.0, True)],
+                             ids=["forward_block", "not_training", "training_at_rate_0"])
+    def test_a_rate_0_forward_draws_no_random_numbers(self, dropout, training):
+        """Dropout is off exactly when its rate is 0: inference and a training
+        forward at `dropout=0.0` leave the run-level generator untouched."""
+        T.seed_all(8)
+        model = ForecastModel(Hyperparams(dropout=dropout))
+        enc_x, enc_meta, targets, dec_meta = make_batch(model.hp, batch=3, seed=13)
+        state = T.get_rng().bit_generator.state
+        if training is None:
+            model.forward_block(enc_x, enc_meta, dec_meta)
+        else:
+            model.forward_training(enc_x, enc_meta, targets, dec_meta, training=training)
+        assert T.get_rng().bit_generator.state == state
 
 
 class TestTapeOps:

@@ -147,7 +147,7 @@ class TestAttention:
 
         def run(fn):
             for leaf in leaves:
-                leaf.zero_grad()
+                leaf.grad = None
             out = fn(p, q_in, kv_in, heads, mask)
             T.backward(T.tsum(T.mul(out, probe)))
             return out.data, [leaf.grad.copy() for leaf in leaves]
@@ -327,16 +327,22 @@ class TestLayerNorm:
 class TestElementwise:
     def test_dropout_is_identity_at_inference(self):
         x = Tensor(np.arange(12.0).reshape(3, 4))
-        out = T.dropout(x, 0.1, training=False)
-        np.testing.assert_array_equal(out.data, x.data)
+        state = T.get_rng().bit_generator.state
+        assert T.dropout(x, 0.0) is x
+        assert T.get_rng().bit_generator.state == state
 
     def test_dropout_scales_survivors(self):
         T.seed_all(7)
         x = Tensor(np.ones(10000), requires_grad=True)
-        out = T.dropout(x, 0.25, training=True)
+        out = T.dropout(x, 0.25)
         kept = out.data[out.data > 0]
         np.testing.assert_allclose(kept, 1.0 / 0.75, atol=1e-6)
         assert abs(len(kept) / 10000 - 0.75) < 0.02
+
+    @pytest.mark.parametrize("p", [1.0, -0.1, float("nan")])
+    def test_dropout_rejects_a_rate_outside_0_1(self, p):
+        with pytest.raises(ValueError, match=r"dropout rate must be in \[0, 1\)"):
+            T.dropout(Tensor(np.ones(3)), p)
 
     def test_embedding_lookup_returns_row(self):
         table = Tensor(np.arange(12 * 3, dtype=np.float32).reshape(12, 3))
@@ -425,7 +431,7 @@ class TestBackwardContract:
         g = rng.standard_normal((6, 5)).astype(dtype)
         p = 0.3
         T.seed_all(21)
-        out = T.dropout(x, p, training=True)
+        out = T.dropout(x, p)
         T.backward(T.tsum(T.mul(out, Tensor(g, dtype=dtype))))  # out.grad is g
         T.seed_all(21)
         mask = (T.get_rng().random(x.shape) >= p).astype(dtype) / np.dtype(dtype).type(1 - p)
@@ -457,8 +463,8 @@ class TestBackwardContract:
     def test_forward_determinism_with_dropout_seeded(self):
         x = Tensor(np.ones((4, 4)), requires_grad=True)
         T.seed_all(99)
-        a = T.dropout(x, 0.5, training=True).data.copy()
+        a = T.dropout(x, 0.5).data.copy()
         T.tape().clear()
         T.seed_all(99)
-        b = T.dropout(x, 0.5, training=True).data.copy()
+        b = T.dropout(x, 0.5).data.copy()
         np.testing.assert_array_equal(a, b)
