@@ -8,12 +8,16 @@ hard ingestion error; imputation would silently bias calibration metrics.
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 import os
 import secrets
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
+from operator import itemgetter
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -118,18 +122,53 @@ def step_calendar(starts, carrier_ids, before: int, after: int):
     return times, calendar_meta(times, np.asarray(carrier_ids)[:, None])
 
 
-def load_csv(path: str) -> list[KpiSeries]:
-    """Load and validate a KPI CSV; returns one series per carrier,
-    carrier_id ascending, time-ordered on a gapless grid. A rejected row is
-    named by its `path:line:`, a gap or duplicate by carrier and instant."""
+# One CSV data row as `np.loadtxt` reads it: the timestamp text, the carrier
+# and the nine values in header order.
+ROW_DTYPE = np.dtype([("ts", object), ("carrier", np.int64), ("v", np.float64, (N_FEATURES,))])
+
+
+def _open_data(path: str):
+    """`path` opened for reading, its header line checked."""
+    f = open(path, newline="", encoding="utf-8")
+    header = next(csv.reader(f), None)
+    if header != CSV_HEADER:
+        f.close()
+        raise IngestionError(f"{path}:1: bad CSV header: {header}")
+    return f
+
+
+def _read_columns(path: str):
+    """(instants, carrier ids, values) of every data row in one `np.loadtxt`
+    pass; raises ValueError or a Warning on any row it cannot vouch for."""
+    with open(path, "rb") as f:
+        chunks = iter(partial(f.read, 1 << 16), b"")
+        # loadtxt strips these around a number as whitespace; float() and int() do not
+        if any(c in chunk for chunk in chunks for c in b"\x1c\x1d\x1e\x1f"):
+            raise ValueError("a control character in \\x1c..\\x1f")
+    lines_read = itertools.count()
+    with _open_data(path) as f, warnings.catch_warnings():
+        warnings.simplefilter("error")  # such as loadtxt's on an empty input
+        # loadtxt skips blank lines; counting the lines it pulls exposes them
+        lines = map(itemgetter(0), zip(f, lines_read))
+        rows = np.loadtxt(lines, dtype=ROW_DTYPE, delimiter=",", comments=None,
+                          quotechar='"', ndmin=1)
+    if len(rows) != next(lines_read):
+        raise ValueError("fewer records than lines (a blank line or a quoted line break)")
+    texts = rows["ts"].tolist()
+    instants = dict.fromkeys(texts)  # carriers repeat each instant: parse each text once
+    for text in instants:
+        instants[text] = parse_timestamp(text)
+    times = np.fromiter(map(instants.__getitem__, texts), "datetime64[m]", len(texts))
+    return times, rows["carrier"], rows["v"]
+
+
+def _read_rows(path: str):
+    """(instants, carrier ids, values) row by row; names the `path:line:` of
+    the first row it rejects."""
     stamps, carriers, cells = [], [], []
     instants = {}  # timestamp text -> instant; carriers repeat each instant
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != CSV_HEADER:
-            raise IngestionError(f"{path}:1: bad CSV header: {header}")
-        for lineno, row in enumerate(reader, start=2):
+    with _open_data(path) as f:
+        for lineno, row in enumerate(csv.reader(f), start=2):
             if len(row) != len(CSV_HEADER) or "" in row:
                 raise IngestionError(f"{path}:{lineno}: missing field")
             try:
@@ -141,7 +180,28 @@ def load_csv(path: str) -> list[KpiSeries]:
                 cells.extend(map(float, row[2:]))
             except ValueError as e:
                 raise IngestionError(f"{path}:{lineno}: {e}") from None
-    if not stamps:
+    # carrier ids are an object array if one overflows int64
+    return (np.array(stamps, dtype="datetime64[m]"), np.array(carriers),
+            np.array(cells, dtype=np.float64).reshape(-1, N_FEATURES))
+
+
+def load_csv(path: str) -> list[KpiSeries]:
+    """Load and validate a KPI CSV; returns one series per carrier,
+    carrier_id ascending, time-ordered on a gapless grid. A rejected row is
+    named by its `path:line:`, a gap or duplicate by carrier and instant.
+
+    One `np.loadtxt` pass reads a valid file. If it fails, the file is read
+    again row by row to name the first bad line; a file that passes that
+    read and every check is still rejected, naming the path and the
+    columnar pass's reason (syntax Python accepts and loadtxt does not,
+    such as `1_0`)."""
+    try:
+        times, carrier_ids, values = _read_columns(path)
+        columnar_error = None
+    except (ValueError, Warning) as e:
+        times, carrier_ids, values = _read_rows(path)
+        columnar_error = e
+    if not len(times):
         raise IngestionError(f"{path}: no data rows after the header")
 
     def reject(bad: np.ndarray, message):
@@ -150,8 +210,6 @@ def load_csv(path: str) -> list[KpiSeries]:
             row, *col = np.unravel_index(np.argmax(bad), bad.shape)
             raise IngestionError(f"{path}:{row + 2}: {message(row, *col)}")
 
-    values = np.array(cells, dtype=np.float64).reshape(-1, N_FEATURES)
-    carrier_ids = np.array(carriers)  # object dtype if an id overflows int64
     reject(~np.isfinite(values),
            lambda r, c: f"{ALL_COLUMNS[c]} must be finite, got {values[r, c]}")
     reject((carrier_ids < 0) | (carrier_ids >= N_CARRIERS),
@@ -165,7 +223,6 @@ def load_csv(path: str) -> list[KpiSeries]:
     ue_avg = values[:, FEATURE_NAMES.index("ue_avg")]
     reject(ue_avg > ue_max, lambda r: f"ue_avg {ue_avg[r]} exceeds ue_max {ue_max[r]}")
 
-    times = np.array(stamps, dtype="datetime64[m]")
     carrier_ids = carrier_ids.astype(np.int64)
     order = np.lexsort((times, carrier_ids))
     times, values, carrier_ids = times[order], values[order], carrier_ids[order]
@@ -175,6 +232,8 @@ def load_csv(path: str) -> list[KpiSeries]:
         series = KpiSeries(carrier, times[lo:hi], values[lo:hi])
         series.validate_grid()
         out.append(series)
+    if columnar_error is not None:
+        raise IngestionError(f"{path}: {columnar_error}")
     return out
 
 

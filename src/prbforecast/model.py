@@ -11,6 +11,7 @@ so each pinball term keeps its own gradient.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, fields
 from typing import ClassVar
@@ -192,10 +193,13 @@ class DecoderOutput:
     quantiles: np.ndarray  # (B, M, 3) residual-PRB quantiles, ascending, in [0,1]
 
 
+@functools.cache
 def causal_mask(steps: int) -> np.ndarray:
-    """(T, T) additive mask: position k attends only to positions <= k."""
-    visible = np.tril(np.ones((steps, steps), dtype=bool))
-    return np.where(visible, 0.0, -np.inf)
+    """(T, T) additive mask: position k attends only to positions <= k.
+    Built once per size and shared, so it is read-only."""
+    mask = np.where(np.tril(np.ones((steps, steps), dtype=bool)), 0.0, -np.inf)
+    mask.setflags(write=False)
+    return mask
 
 
 def _attention(params: AttentionParams, q_in: Tensor, kv_in: Tensor, heads: int,

@@ -5,9 +5,11 @@ import os
 
 import pytest
 
+from prbforecast import tensor as T
 from prbforecast.cli import main
-from prbforecast.data import STEP, load_csv, save_csv
-from prbforecast.training import checkpoint_bytes, load_checkpoint
+from prbforecast.data import STEP, Normalizer, load_csv, save_csv
+from prbforecast.model import ForecastModel, Hyperparams
+from prbforecast.training import TrainConfig, checkpoint_bytes, load_checkpoint, save_checkpoint
 
 from conftest import edit_header
 
@@ -384,3 +386,32 @@ class TestParser:
 
     def test_help_exits_ok(self):
         assert main(["--help"]) == 0
+
+
+class TestPinnedOutputs:
+    def test_forecast_and_eval_bytes_are_pinned(self, tmp_path):
+        """`gen` data, a seeded untrained tiny checkpoint, then `forecast` and
+        `eval` through `main`: a change to any value the CSV reader hands on,
+        the model computes or a writer formats fails here. Matrix products
+        run, so the digests are those of this BLAS summation order."""
+        data, model = tmp_path / "data.csv", tmp_path / "model.rupf"
+        assert main(["gen", "--out", str(data), "--days", "2", "--carriers", "3",
+                     "--seed", "5"]) == 0
+        T.seed_all(5)
+        tiny = Hyperparams(d_emb=4, n_enc_layers=1, n_dec_layers=1, heads=2, d_ff=8,
+                           n_past=8, n_future=2)
+        save_checkpoint(str(model), ForecastModel(tiny), TrainConfig(),
+                        Normalizer.fit(load_csv(str(data))))
+        forecast, report = tmp_path / "forecast.csv", tmp_path / "report.json"
+        assert main(["forecast", "--model", str(model), "--data", str(data), "--carrier", "1",
+                     "--from", "2024-01-02T00:00:00Z", "--horizon", "96",
+                     "--out", str(forecast)]) == 0
+        assert main(["eval", "--model", str(model), "--data", str(data), "--horizon", "8",
+                     "--anchors", "2", "--report", str(report)]) == 0
+        digests = [hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in (data, model, forecast, report)]
+        assert digests == [
+            "8932089e6b2554c9ca99116bbfe2359ed5182c58f897983de5680ef48efc0784",
+            "3a09d2c38ca446c4954023783ec1e82ea1130f2d4ad4bd2116e9f12653319a3c",
+            "498f988de108e91463d8790be3edc2abb4601e7f981a08e846bab934a09b3dbf",
+            "5fa7b1eacddbbf6579a9bba72f2474a0d5a2b9ddec8657ac3689a65d693f8154"]

@@ -1,12 +1,17 @@
+import csv
 import os
 import random
 import re
+import warnings
 from datetime import datetime, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prbforecast import data as D
+from prbforecast.cli import main
 from prbforecast.data import (STEP, IngestionError, KpiSeries, Normalizer,
                               batch_samples, calendar_meta, chronological_split,
                               load_csv, make_samples, residual_ratio,
@@ -220,6 +225,153 @@ class TestCsvRoundtrip:
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["kpi.csv"]
 
+
+
+def reference_load(path):
+    """The plain-Python reading of a valid KPI CSV: `csv` rows, `int`,
+    `float` and `datetime.fromisoformat`, one (carrier, times, values)
+    triple per carrier, carrier ascending, time ascending."""
+    with open(path, newline="", encoding="utf-8") as f:
+        rows = list(csv.reader(f))[1:]
+    by_carrier = {}
+    for stamp, carrier, *cells in rows:
+        ts = datetime.fromisoformat(stamp.replace("Z", "+00:00"))
+        minute = int((ts if ts.tzinfo else ts.replace(tzinfo=UTC)).timestamp()) // 60
+        by_carrier.setdefault(int(carrier), []).append((minute, [float(c) for c in cells]))
+    out = []
+    for carrier in sorted(by_carrier):
+        rows = sorted(by_carrier[carrier])
+        out.append((carrier, np.array([m for m, _ in rows], dtype="datetime64[m]"),
+                    np.array([v for _, v in rows], dtype=np.float64)))
+    return out
+
+
+def full_precision_lines(carriers=(0, 3, 20), n=24, seed=0):
+    """Data lines whose values carry every float64 digit (`repr`); dl_tput
+    is below 1e-5, so its values are written in exponent notation."""
+    rng = np.random.default_rng(seed)
+    stamps = D.format_instants(make_series(n).times)
+    lines = []
+    for carrier in carriers:
+        values = rng.random((n, 9)) * [100, 100, 1e6, 100, 10, 40, 20, 1e-5, 1]
+        values[:, 5] += values[:, 6]  # ue_max >= ue_avg
+        lines += [",".join([t, str(carrier)] + [repr(v) for v in row])
+                  for t, row in zip(stamps, values.tolist())]
+    return lines
+
+
+def dialect_variant(name, lines):
+    """The text of a KPI CSV with data `lines`, written in variant `name`."""
+    header, end = ",".join(D.CSV_HEADER), "\n"
+    if name == "shuffled":
+        lines = random.Random(5).sample(lines, len(lines))
+    elif name == "quoted_fields":
+        lines = [",".join(f'"{c}"' for c in line.split(",")) for line in lines]
+    elif name == "single_row":
+        lines = lines[:1]
+    elif name in ("crlf", "lone_cr"):
+        end = "\r\n" if name == "crlf" else "\r"
+    text = end.join([header] + lines)
+    return text if name == "no_trailing_newline" else text + end
+
+
+def set_cell(column, value, index=3):
+    """An edit of a CSV's lines that sets one field of `lines[index]`
+    (line 4 by default)."""
+    def edit(lines):
+        parts = lines[index].split(",")
+        parts[column] = value
+        lines[index] = ",".join(parts)
+    return edit
+
+
+def assert_reads_like_reference(series, path):
+    """`series` from `load_csv(path)` hold, bit for bit, what
+    `reference_load(path)` reads."""
+    want = reference_load(path)
+    assert [s.carrier_id for s in series] == [carrier for carrier, _, _ in want]
+    for s, (_, times, values) in zip(series, want):
+        for a, b in ((s.times, times), (s.values, values)):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.tobytes() == b.tobytes()
+
+
+class TestCsvDialect:
+    @pytest.mark.parametrize("variant", ["three_carriers", "shuffled", "crlf", "lone_cr",
+                                         "quoted_fields", "no_trailing_newline", "single_row"])
+    def test_arrays_are_bit_identical_to_a_plain_python_reader(self, tmp_path, variant):
+        path = tmp_path / "kpi.csv"
+        path.write_bytes(dialect_variant(variant, full_precision_lines()).encode())
+        assert_reads_like_reference(load_csv(str(path)), path)
+
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(line=st.integers(1, 10), column=st.integers(0, 10),
+           cell=st.text(alphabet=' \t\v\x1c\x1f\xa0"#,._+-0123456789eEinfaZ:T\u0661\r\n',
+                        max_size=8))
+    def test_what_load_csv_accepts_a_plain_python_reader_reads_identically(
+            self, tmp_path_factory, line, column, cell):
+        """The columnar pass accepts no cell that `int`, `float` or
+        `fromisoformat` reject, and reads none differently."""
+        path = tmp_path_factory.mktemp("cell") / "kpi.csv"
+        save_csv([make_series(5, 0), make_series(5, 1)], str(path))
+        lines = path.read_text().splitlines()
+        set_cell(column, cell, line)(lines)
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            series = load_csv(str(path))
+        except IngestionError:
+            return
+        assert_reads_like_reference(series, path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda ls: ls.insert(3, ""), ":4: missing field"),
+        (lambda ls: ls.insert(3, "   "), ":4: missing field"),
+        (lambda ls: ls.__setitem__(3, "#" + ls[3]),
+         ":4: malformed timestamp '#2024-03-04T00:30:00Z'"),
+        (lambda ls: ls.__delitem__(slice(1, None)), ": no data rows after the header"),
+        (lambda ls: ls.__setitem__(3, ls[3] + ",1"), ":4: missing field"),
+        (set_cell(1, "99999999999999999999999"),
+         ":4: carrier_id 99999999999999999999999 outside 0..20"),
+        (set_cell(0, "2024-03-04T00:30:00Z" + "x" * 180),
+         f":4: malformed timestamp '2024-03-04T00:30:00Z{'x' * 180}'"),
+        (set_cell(2, "5_0"), ": could not convert string '5_0' to float64"),
+        (set_cell(2, "\x1c12.000000"), ":4: could not convert string to float: '\\x1c12.000000'"),
+    ], ids=["blank_line", "whitespace_line", "comment_line", "header_only", "extra_column",
+            "carrier_beyond_int64", "200_char_timestamp", "underscore_in_number",
+            "control_character_around_number"])
+    def test_input_a_columnar_reader_could_accept_exits_1_naming_its_line(
+            self, tmp_path, capsys, edit, message):
+        path = tmp_path / "bad.csv"
+        save_csv([make_series(5, 0), make_series(5, 1)], str(path))
+        lines = path.read_text().splitlines()
+        edit(lines)
+        path.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["train", "--data", str(path), "--out", str(tmp_path / "m.rupf")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}{message}")
+        assert not [w for w in caught if issubclass(w.category, UserWarning)]
+
+    @pytest.mark.parametrize("edit, message", [
+        (set_cell(1, "0_0"), "could not convert string '0_0' to int64"),
+        (set_cell(2, "١٢"), "could not convert string '١٢' to float64"),
+        (set_cell(0, "2024-03-04T00:30:00\x1cZ"), "a control character"),
+        (set_cell(10, '"0.5\n"'), "fewer records than lines"),
+    ], ids=["underscore_in_carrier", "arabic_indic_digit", "control_character_in_timestamp",
+            "quoted_line_break"])
+    def test_syntax_only_the_row_reader_accepts_is_rejected_naming_the_path(
+            self, tmp_path, edit, message):
+        """Python's `int`, `float` and `fromisoformat` accept these, the
+        columnar read does not; the file is rejected with that read's reason."""
+        path = tmp_path / "odd.csv"
+        save_csv([make_series(5, 0), make_series(5, 1)], str(path))
+        lines = path.read_text().splitlines()
+        edit(lines)
+        path.write_text("\n".join(lines) + "\n")
+        assert [len(t) for _, t, _ in reference_load(path)] == [5, 5]  # a plain reader accepts it
+        with pytest.raises(IngestionError, match=re.escape(f"{path}: {message}")):
+            load_csv(str(path))
 
 
 class TestAtomicOpen:

@@ -144,6 +144,12 @@ class TestDecoder:
         assert mask[0, 1] == -np.inf and mask[0, 2] == -np.inf
         assert mask[2, 0] == 0.0 and mask[1, 1] == 0.0
 
+    def test_causal_mask_is_built_once_per_size_and_read_only(self):
+        mask = causal_mask(4)
+        assert causal_mask(4) is mask and causal_mask(3) is not mask
+        assert mask.dtype == np.float64 and not mask.flags.writeable
+        np.testing.assert_array_equal(mask, np.triu(np.full((4, 4), -np.inf), k=1))
+
 
 class TestNamedParams:
     def test_tiny_manifest_names_and_shapes(self):
