@@ -11,6 +11,7 @@ import csv
 import itertools
 import logging
 import os
+import re
 import secrets
 import warnings
 from contextlib import contextmanager
@@ -51,9 +52,15 @@ def residual_ratio(n_total: int, n_used: float) -> float:
     return (n_total - n_used) / n_total
 
 
+# `fromisoformat` skips any one character before a UTC designator or offset
+STRAY_BEFORE_ZONE = re.compile(r"[^0-9](?:Z|[+-][0-9:.,]+)\Z")
+
+
 def parse_timestamp(text: str) -> np.datetime64:
     """The instant of ISO-8601 `text` (UTC unless it names an offset) as
     datetime64[m]; it must lie on the 15-minute grid."""
+    if STRAY_BEFORE_ZONE.search(text):
+        raise IngestionError(f"malformed timestamp {text!r}: no digit before the UTC offset")
     try:
         ts = datetime.fromisoformat(text.replace("Z", "+00:00"))
         if ts.tzinfo is None:
@@ -255,16 +262,28 @@ def atomic_open(path: str, binary: bool = False):
         raise
 
 
+def csv_line(fields) -> str:
+    """One CSV line of text fields: comma-separated, CRLF-ended and unquoted,
+    as `csv.writer` writes fields that need no quoting."""
+    return ",".join(fields) + "\r\n"
+
+
+def csv_rows(times: np.ndarray, carrier_id: int, values: np.ndarray) -> str:
+    """The CSV lines of one carrier: per row its ISO-8601 UTC instant, the
+    carrier id and each value of its row of the (T, k) `values` with six
+    decimals. None of these fields needs quoting."""
+    template = csv_line(["%s", "%s"] + ["%.6f"] * values.shape[1])
+    return "".join([template % (stamp, carrier_id, *row)
+                    for stamp, row in zip(format_instants(times), values.tolist())])
+
+
 def save_csv(series_list: list[KpiSeries], path: str) -> int:
     """Write series in the ingestion schema; returns the data row count."""
     rows = 0
     with atomic_open(path) as f:
-        writer = csv.writer(f)
-        writer.writerow(CSV_HEADER)
+        f.write(csv_line(CSV_HEADER))
         for series in sorted(series_list, key=lambda s: s.carrier_id):
-            writer.writerows([stamp, series.carrier_id] + [f"{v:.6f}" for v in row]
-                             for stamp, row in zip(format_instants(series.times),
-                                                   series.values.tolist()))
+            f.write(csv_rows(series.times, series.carrier_id, series.values))
             rows += len(series)
     return rows
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from typing import ClassVar
 
 import numpy as np
@@ -24,6 +24,7 @@ from .embedding import EmbeddingTables, embed_tokens
 from .tensor import Tensor
 
 QUANTILES = (0.1, 0.5, 0.9)
+MAX_PARAMS = 10 ** 8  # 400 MB of float32 weights, before gradients and Adam moments
 
 
 @dataclass
@@ -54,7 +55,9 @@ class Hyperparams:
     @classmethod
     def from_dict(cls, doc) -> "Hyperparams":
         """Validated hyperparameters from the `hyperparams` JSON object of a
-        config file or a checkpoint header; absent keys take the defaults."""
+        config file or a checkpoint header; absent keys take the defaults.
+        A model of more than `MAX_PARAMS` parameters is refused before any
+        weight is made."""
         d = read_settings("hyperparams", cls().to_dict(), doc)
         quantiles = d.pop("quantiles")
         if not isinstance(quantiles, (list, tuple)) or tuple(quantiles) != QUANTILES:
@@ -62,6 +65,10 @@ class Hyperparams:
                              f"{list(QUANTILES)}, got {quantiles!r}")
         hp = cls(**d)
         hp.validate()
+        count = param_count(hp)  # counted, not drawn
+        if count > MAX_PARAMS:
+            raise ValueError(f"out of memory: hyperparams make a model of {count} "
+                             f"parameters, more than the {MAX_PARAMS} allowed")
         return hp
 
 
@@ -303,7 +310,15 @@ class ForecastModel:
 
 def param_count(hp: Hyperparams) -> int:
     """Learnable-parameter total: the sizes of the tensors `ForecastModel(hp)`
-    makes, summed by a factory that allocates none of them."""
-    sizes = []
-    ForecastModel(hp, lambda shape, fan_in=None, fill=0.0: sizes.append(math.prod(shape)))
-    return sum(sizes)
+    makes. Every layer of a kind has the same size, so models of one and two
+    layers are counted, by a factory that allocates nothing, and scaled: the
+    cost does not grow with the layer counts."""
+    def count(n_enc: int, n_dec: int) -> int:
+        sizes = []
+        ForecastModel(replace(hp, n_enc_layers=n_enc, n_dec_layers=n_dec),
+                      lambda shape, fan_in=None, fill=0.0: sizes.append(math.prod(shape)))
+        return sum(sizes)
+
+    base = count(1, 1)
+    return (base + (hp.n_enc_layers - 1) * (count(2, 1) - base)
+            + (hp.n_dec_layers - 1) * (count(1, 2) - base))

@@ -10,12 +10,10 @@ future's, are computed from the start instants on the grid, never predicted.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
 from .data import (FEATURE_NAMES, N_DET_FEATURES, N_FEATURES, STEP, KpiSeries,
-                   Normalizer, atomic_open, format_instants, step_calendar)
+                   Normalizer, atomic_open, csv_line, csv_rows, step_calendar)
 from .model import DecoderOutput, ForecastModel
 
 
@@ -68,8 +66,5 @@ def forecast_to_csv(times: np.ndarray, carrier_id: int, quantiles: np.ndarray,
     to native units, so no KPI falls outside the training range."""
     kpis = normalizer.invert(np.clip(det, 0.0, 1.0))
     with atomic_open(path) as f:
-        writer = csv.writer(f)
-        writer.writerow(["timestamp", "carrier_id", "q10", "q50", "q90"] + FEATURE_NAMES)
-        writer.writerows([stamp, carrier_id] + [f"{v:.6f}" for v in q + k]
-                         for stamp, q, k in zip(format_instants(times), quantiles.tolist(),
-                                                kpis.tolist()))
+        f.write(csv_line(["timestamp", "carrier_id", "q10", "q50", "q90"] + FEATURE_NAMES))
+        f.write(csv_rows(times, carrier_id, np.concatenate([quantiles, kpis], axis=1)))

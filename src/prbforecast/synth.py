@@ -15,8 +15,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from .data import (N_CARRIERS, N_FEATURES, STEP, KpiSeries, residual_ratio,
-                   to_datetime64)
+from .data import N_CARRIERS, N_FEATURES, STEP, KpiSeries, to_datetime64
 
 DEFAULT_START = datetime(2024, 1, 1, tzinfo=timezone.utc)  # a Monday
 STEPS_PER_DAY = 96
@@ -93,36 +92,49 @@ def _generate_one(profile: CarrierProfile, start: datetime, n_steps: int,
                   seed: int) -> KpiSeries:
     rng = np.random.default_rng(seed ^ profile.carrier_id)
     values = np.empty((n_steps, N_FEATURES))
+    # Per step the stream holds the load noise (if sigma > 0), the burst
+    # draws (if no burst is running), then six KPI noises. A step's six KPI
+    # noises and the next step's load noise are adjacent, so one array draw
+    # per step fills both; the load noise drawn after the last step is unused.
+    width = 7 if profile.noise_sigma > 0 else 6
+    lead = width - 6
+    draws = np.empty(n_steps * width + lead)
+    in_burst = np.empty(n_steps, dtype=bool)
+    rng.standard_normal(out=draws[:lead])
     burst_left = 0
-    ts = start
-    for i in range(n_steps):
-        eps = rng.normal(0.0, profile.noise_sigma) if profile.noise_sigma > 0 else 0.0
-        load = diurnal_load(profile, ts) + eps
+    for i, chunk in enumerate(draws[lead:].reshape(n_steps, width)):
         if burst_left > 0:
             burst_left -= 1
         elif profile.burst_probability > 0 and rng.random() < profile.burst_probability:
             burst_left = 1 + rng.geometric(1.0 / MEAN_BURST_STEPS)
-        if burst_left > 0:
-            load += profile.burst_depth
-        load = min(max(load, 0.0), 1.0)
+        in_burst[i] = burst_left > 0
+        rng.standard_normal(out=chunk)
+    draws = draws[:n_steps * width].reshape(n_steps, width)  # step i's draws in row i
+    # rng.normal() is 0.0 + 1.0 * z; each KPI noise z enters only as 1 + c * z,
+    # where that and z itself give the same sum
+    ue_noise, prb_noise, tti_noise, pdsch_noise, pucch_noise, tput_noise = draws[:, lead:].T
 
-        n_used = round(load * profile.n_prb_total)
-        residual = residual_ratio(profile.n_prb_total, n_used)
-        ue_noise = rng.normal(0.0, 1.0)
-        ue_avg = max(40.0 * load * (1.0 + 0.1 * ue_noise), 0.0)
-        ue_max = math.ceil(1.5 * ue_avg)
-        values[i] = (
-            max(load * profile.n_prb_total * (1 + 0.02 * rng.normal()), 0.0),  # prb_mean
-            profile.n_prb_total,                                      # prb_total
-            max(9.0e5 * load * (1 + 0.05 * rng.normal()), 0.0),       # active_tti
-            max(0.8 * n_used * (1 + 0.03 * rng.normal()), 0.0),       # prb_pdsch
-            max(0.1 * n_used * (1 + 0.03 * rng.normal()), 0.0),       # prb_pucch
-            ue_max,                                                   # ue_max
-            ue_avg,                                                   # ue_avg
-            max(0.36 * n_used * (1 + 0.05 * rng.normal()), 0.0),      # dl_tput
-            residual,                                                 # residual_prb
-        )
-        ts = ts + timedelta(minutes=15)
+    # the noise-free line repeats each week of wall-clock 15-minute steps
+    quarter = timedelta(minutes=15)
+    week = [diurnal_load(profile, start + j * quarter)
+            for j in range(min(n_steps, 7 * STEPS_PER_DAY))]
+    load = np.resize(np.array(week), n_steps)
+    load = load + (0.0 + profile.noise_sigma * draws[:, 0] if lead else 0.0)  # rng.normal()
+    load = np.where(in_burst, load + profile.burst_depth, load)
+    load = np.minimum(np.maximum(load, 0.0), 1.0)
+
+    n_prb = profile.n_prb_total
+    n_used = np.rint(load * n_prb)
+    ue_avg = np.maximum(40.0 * load * (1.0 + 0.1 * ue_noise), 0.0)
+    values[:, 0] = np.maximum(load * n_prb * (1 + 0.02 * prb_noise), 0.0)   # prb_mean
+    values[:, 1] = n_prb                                                    # prb_total
+    values[:, 2] = np.maximum(9.0e5 * load * (1 + 0.05 * tti_noise), 0.0)   # active_tti
+    values[:, 3] = np.maximum(0.8 * n_used * (1 + 0.03 * pdsch_noise), 0.0)  # prb_pdsch
+    values[:, 4] = np.maximum(0.1 * n_used * (1 + 0.03 * pucch_noise), 0.0)  # prb_pucch
+    values[:, 5] = np.ceil(1.5 * ue_avg)                                    # ue_max
+    values[:, 6] = ue_avg                                                   # ue_avg
+    values[:, 7] = np.maximum(0.36 * n_used * (1 + 0.05 * tput_noise), 0.0)  # dl_tput
+    values[:, 8] = (n_prb - n_used) / n_prb                                 # residual_prb
     times = to_datetime64(start) + np.arange(n_steps) * STEP
     return KpiSeries(profile.carrier_id, times, values)
 

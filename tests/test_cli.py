@@ -5,10 +5,11 @@ import os
 
 import pytest
 
+from prbforecast import model as model_module
 from prbforecast import tensor as T
 from prbforecast.cli import main
 from prbforecast.data import STEP, Normalizer, load_csv, save_csv
-from prbforecast.model import ForecastModel, Hyperparams
+from prbforecast.model import ForecastModel, Hyperparams, param_count
 from prbforecast.training import TrainConfig, checkpoint_bytes, load_checkpoint, save_checkpoint
 
 from conftest import edit_header
@@ -187,7 +188,7 @@ class TestTrain:
         assert not out.exists()
 
     def test_size_beyond_memory_is_usage_error(self, workspace, tmp_path, capsys):
-        # a (64, 2**40) float64 weight draw, 512 TiB: beyond any address space
+        # 2**40-wide feed-forward layers: refused by their parameter count
         config = tmp_path / "huge.json"
         config.write_text(json.dumps({"hyperparams": {"d_ff": 2 ** 40},
                                       "split": TINY_CONFIG["split"]}))
@@ -195,6 +196,22 @@ class TestTrain:
         assert main(["train", "--data", str(workspace["data"]),
                      "--config", str(config), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: out of memory:")
+        assert not out.exists()
+
+    def test_oversized_model_exits_1_before_drawing(self, workspace, tmp_path, capsys,
+                                                     monkeypatch):
+        # d_ff 10**7: about 13 GB of float64 draws if it reached the allocator
+        def refuse(rng):
+            raise AssertionError("a weight was drawn")
+        monkeypatch.setattr(model_module, "drawing_factory", refuse)
+        config = tmp_path / "wide.json"
+        config.write_text(json.dumps({"hyperparams": {"d_ff": 10 ** 7},
+                                      "split": TINY_CONFIG["split"]}))
+        out = tmp_path / "m.rupf"
+        assert main(["train", "--data", str(workspace["data"]),
+                     "--config", str(config), "--out", str(out)]) == 1
+        count = param_count(Hyperparams(d_ff=10 ** 7))
+        assert f"a model of {count} parameters" in capsys.readouterr().err
         assert not out.exists()
 
     def test_csv_without_data_rows_is_usage_error(self, workspace, tmp_path, capsys):
@@ -291,6 +308,17 @@ class TestForecast:
                      "--data", str(workspace["data"]), "--carrier", "0",
                      "--from", "2024-01-02T00:07:00Z", "--horizon", "4",
                      "--out", str(tmp_path / "fc.csv")]) == 1
+
+    @pytest.mark.parametrize("start", ["2024-01-02T00:00:00xZ", "2024-01-02T00:00:00 Z",
+                                       "2024-01-02T00:00:00x+00:00"])
+    def test_stray_character_before_the_offset_is_usage_error(self, workspace, tmp_path,
+                                                              capsys, start):
+        out = tmp_path / "fc.csv"
+        assert main(["forecast", "--model", str(workspace["model"]),
+                     "--data", str(workspace["data"]), "--carrier", "0",
+                     "--from", start, "--horizon", "4", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: malformed timestamp {start!r}")
+        assert not out.exists()
 
 
 class TestEval:

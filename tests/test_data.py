@@ -174,8 +174,14 @@ class TestCsvRoundtrip:
         (0, "2024-03-04T00:37:00Z", "timestamp '2024-03-04T00:37:00Z' not on the 15-minute grid"),
         (0, "9999-12-31T23:45:00-01:00", "malformed timestamp '9999-12-31T23:45:00-01:00'"),
         (5, "eight", "could not convert string to float: 'eight'"),
+        (0, "2024-03-04T00:30:00xZ", "malformed timestamp '2024-03-04T00:30:00xZ'"),
+        (0, "2024-03-04T00:30:00 Z", "malformed timestamp '2024-03-04T00:30:00 Z'"),
+        (0, "2024-03-04T00:30:00x+00:00", "malformed timestamp '2024-03-04T00:30:00x+00:00'"),
+        (0, "2024-03-04T00:30:00\x1cZ", "malformed timestamp '2024-03-04T00:30:00\\x1cZ'"),
     ], ids=["negative_feature", "ue_avg_above_ue_max", "malformed_timestamp",
-            "off_grid_timestamp", "timestamp_beyond_year_9999", "non_numeric_value"])
+            "off_grid_timestamp", "timestamp_beyond_year_9999", "non_numeric_value",
+            "stray_character_before_z", "space_before_z", "stray_character_before_offset",
+            "control_character_before_z"])
     def test_bad_value_names_path_and_line(self, tmp_path, column, value, message):
         path = tmp_path / "bad.csv"
         save_csv([make_series(5)], str(path))
@@ -224,6 +230,68 @@ class TestCsvRoundtrip:
             save_csv([make_series(50, 0), bad], str(path))
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["kpi.csv"]
+
+
+def reference_save(series_list, path):
+    """The `csv.writer` writing of KPI series that `save_csv` replaced."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(D.CSV_HEADER)
+        for series in sorted(series_list, key=lambda s: s.carrier_id):
+            writer.writerows([stamp, series.carrier_id] + [f"{v:.6f}" for v in row]
+                             for stamp, row in zip(D.format_instants(series.times),
+                                                   series.values.tolist()))
+
+
+class TestSaveCsvMatchesCsvWriter:
+    def assert_same_bytes(self, series_list, tmp_path):
+        save_csv(series_list, str(tmp_path / "got.csv"))
+        reference_save(series_list, str(tmp_path / "want.csv"))
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_generated_series(self, tmp_path):
+        from prbforecast import synth
+        for seed in (0, 5):
+            profiles = synth.default_profiles(4, seed)[::-1]  # written carrier ascending
+            self.assert_same_bytes(synth.generate(profiles, n_days=2, seed=seed), tmp_path)
+
+    def test_hand_built_values(self, tmp_path):
+        specials = [1e300, -1e300, 1.7976931348623157e308, 5e-324, 4.9999995e-7, 5.0000005e-7,
+                    -0.0, 0.0, -4e-7, 0.5, 2.5e-6, 123456789.0000005, np.nan, np.inf, -np.inf]
+        values = np.resize(np.array(specials), (len(specials), 9))
+        values[:, 0] = specials
+        series = KpiSeries(20, make_series(len(specials)).times, values)
+        self.assert_same_bytes([make_series(3, 1), series], tmp_path)
+
+    def test_no_rows(self, tmp_path):
+        self.assert_same_bytes([make_series(0, 2)], tmp_path)
+
+
+class TestParseTimestamp:
+    @pytest.mark.parametrize("text, instant", [
+        ("2024-01-01T00:15:00Z", "2024-01-01T00:15"),
+        ("2024-01-01T00:15Z", "2024-01-01T00:15"),
+        ("2024-01-01T00:15:00.000Z", "2024-01-01T00:15"),
+        ("2024-01-01T00:15:00", "2024-01-01T00:15"),
+        ("2024-01-01 00:15:00", "2024-01-01T00:15"),
+        ("2024-01-01", "2024-01-01T00:00"),
+        ("20240101T001500Z", "2024-01-01T00:15"),
+        ("2024-01-01T05:45:00+05:30", "2024-01-01T00:15"),
+        ("2024-01-01T00:15:00-0100", "2024-01-01T01:15"),
+        ("2024-01-01T05:15:00+05", "2024-01-01T00:15"),
+        ("2024-01-01T05:15:00+05:00:00", "2024-01-01T00:15"),
+    ])
+    def test_iso_forms_are_accepted(self, text, instant):
+        assert D.parse_timestamp(text) == np.datetime64(instant)
+
+    @pytest.mark.parametrize("text", [
+        "2024-01-01T00:15:00xZ", "2024-01-01T00:15:00 Z", "2024-01-01T00:15:00:Z",
+        "2024-01-01T00:15:00x+00:00", "2024-01-01T00:15:00 +05:00", "2024-01-01T00:15:00x-0100",
+        "2024-01-01T00:15:00x+05", "2024-01-01T00:15:00\x1cZ",
+    ])
+    def test_a_character_other_than_a_digit_before_the_offset_is_rejected(self, text):
+        with pytest.raises(IngestionError, match=re.escape(f"malformed timestamp {text!r}")):
+            D.parse_timestamp(text)
 
 
 
@@ -356,7 +424,7 @@ class TestCsvDialect:
     @pytest.mark.parametrize("edit, message", [
         (set_cell(1, "0_0"), "could not convert string '0_0' to int64"),
         (set_cell(2, "١٢"), "could not convert string '١٢' to float64"),
-        (set_cell(0, "2024-03-04T00:30:00\x1cZ"), "a control character"),
+        (set_cell(0, "2024-03-04\x1c00:30:00Z"), "a control character"),
         (set_cell(10, '"0.5\n"'), "fewer records than lines"),
     ], ids=["underscore_in_carrier", "arabic_indic_digit", "control_character_in_timestamp",
             "quoted_line_break"])

@@ -3,9 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from prbforecast import model as model_module
 from prbforecast import tensor as T
 from prbforecast.embedding import embed_tokens
-from prbforecast.model import (DecoderOutput, ForecastModel, Hyperparams,
+from prbforecast.model import (MAX_PARAMS, DecoderOutput, ForecastModel, Hyperparams,
                                causal_mask, param_count)
 from prbforecast.training import total_loss
 
@@ -324,6 +325,28 @@ class TestParamCount:
         # doubles (d_ff); the output bias stays d_emb
         delta_per_layer = 2 * hp.d_emb * hp.d_ff + hp.d_ff
         assert param_count(doubled) - param_count(hp) == n_ff_layers * delta_per_layer
+
+
+class TestModelSizeLimit:
+    @pytest.fixture
+    def no_drawing(self, monkeypatch):
+        def refuse(rng):
+            raise AssertionError("a weight was drawn")
+        monkeypatch.setattr(model_module, "drawing_factory", refuse)
+
+    def test_oversized_model_is_refused_naming_its_count(self, no_drawing):
+        count = param_count(Hyperparams(d_ff=10 ** 7))
+        with pytest.raises(ValueError, match=f"a model of {count} parameters"):
+            Hyperparams.from_dict({"d_ff": 10 ** 7})
+
+    def test_limit_is_inclusive(self, no_drawing):
+        # param_count grows by the same amount for each unit of d_ff
+        per_unit = param_count(Hyperparams(d_ff=2)) - param_count(Hyperparams(d_ff=1))
+        widest = 1 + (MAX_PARAMS - param_count(Hyperparams(d_ff=1))) // per_unit
+        assert param_count(Hyperparams(d_ff=widest)) <= MAX_PARAMS
+        assert Hyperparams.from_dict({"d_ff": widest}).d_ff == widest
+        with pytest.raises(ValueError, match=f"more than the {MAX_PARAMS} allowed"):
+            Hyperparams.from_dict({"d_ff": widest + 1})
 
 
 class TestFullGradient:
