@@ -54,6 +54,9 @@ def residual_ratio(n_total: int, n_used: float) -> float:
 
 # `fromisoformat` skips any one character before a UTC designator or offset
 STRAY_BEFORE_ZONE = re.compile(r"[^0-9](?:Z|[+-][0-9:.,]+)\Z")
+# ... and takes any one character between the date and the time
+DATE_THEN_SEPARATOR = re.compile(
+    r"[0-9]{4}-?(?:[0-9]{2}-?[0-9]{2}|W[0-9]{2}(?:-?[0-9])?)(?:[T ]|\Z)")
 
 
 def parse_timestamp(text: str) -> np.datetime64:
@@ -68,6 +71,9 @@ def parse_timestamp(text: str) -> np.datetime64:
         ts = ts.astimezone(timezone.utc)
     except (ValueError, OverflowError) as e:
         raise IngestionError(f"malformed timestamp {text!r}: {e}") from None
+    if not DATE_THEN_SEPARATOR.match(text):
+        raise IngestionError(f"malformed timestamp {text!r}: "
+                             "date and time not separated by 'T' or a space")
     if ts.minute % 15 != 0 or ts.second != 0 or ts.microsecond != 0:
         raise IngestionError(f"timestamp {text!r} not on the 15-minute grid")
     return to_datetime64(ts)

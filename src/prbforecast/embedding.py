@@ -84,13 +84,14 @@ def embedding_sum(proj: Tensor, pos_table: Tensor, tables: EmbeddingTables,
     out = proj.data
     for table, idx in lookups:
         out = out + table.data[idx]
+    table_grads = [(table.slot, idx) for table, idx in lookups if table.slot is not None]
+    proj_slot = proj.slot
 
     def backward(g):
-        for table, idx in lookups:
-            if table.requires_grad:
-                flat = np.broadcast_to(idx, g.shape[:-1]).reshape(-1)
-                one_hot = (flat[:, None] == np.arange(table.shape[0])).astype(g.dtype)
-                T._accumulate(table, one_hot.T @ g.reshape(-1, g.shape[-1]))
-        T._accumulate(proj, g)
+        for slot, idx in table_grads:
+            flat = np.broadcast_to(idx, g.shape[:-1]).reshape(-1)
+            one_hot = (flat[:, None] == np.arange(slot.shape[0])).astype(g.dtype)
+            T._accumulate(slot, one_hot.T @ g.reshape(-1, g.shape[-1]))
+        T._accumulate(proj_slot, g)
 
     return T._result(out, (proj, *(table for table, _ in lookups)), backward)

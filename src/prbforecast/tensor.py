@@ -1,10 +1,14 @@
 """Minimal dense tensor library with reverse-mode autodiff.
 
 Tensors wrap numpy arrays (float32 by default; float64 is allowed so test
-oracles can run at higher precision). Differentiable ops record a backward
-closure on a global tape; `backward()` pops and runs the closures from the
-end and leaves the tape empty, so a second backward without a fresh forward
-pass is an error.
+oracles can run at higher precision). A tensor that requires grad also
+holds a `Slot`: its gradient buffer and that buffer's shape and dtype, but
+no values. Differentiable ops record (output slot, backward closure) pairs
+on a global tape, and each closure captures only the slots it adds into
+and the arrays it reads, never a tensor. So an op's output array lives only
+as long as the forward holds its tensor or some backward reads it.
+`backward()` pops and runs the closures from the end and leaves the tape
+empty, so a second backward without a fresh forward pass is an error.
 
 Only the broadcasting the model needs is supported: equal shapes, scalars,
 and a trailing-dimension bias vector. Keeps every backward rule auditable.
@@ -37,7 +41,7 @@ def get_rng() -> np.random.Generator:
     return _rng
 
 
-# Ordered record of differentiable ops as (out_tensor, backward_fn) pairs;
+# Ordered record of differentiable ops as (out_slot, backward_fn) pairs;
 # inputs always precede outputs.
 _tape: list = []
 _grad_enabled = True
@@ -61,14 +65,39 @@ class no_grad:
         return False
 
 
+class Slot:
+    """The gradient state of a tensor that requires grad: the gradient
+    buffer and the shape and dtype it takes, but no values."""
+    __slots__ = ("grad", "shape", "dtype")
+
+    def __init__(self, shape, dtype):
+        self.grad = None
+        self.shape = shape
+        self.dtype = dtype
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad")
+    """A numpy array and, if it requires grad, its `Slot`."""
+    __slots__ = ("data", "slot")
 
     def __init__(self, data, requires_grad: bool = False, dtype=np.float32):
         arr = np.asarray(data, dtype=dtype)
         self.data = arr
-        self.grad = None
-        self.requires_grad = bool(requires_grad)
+        self.slot = Slot(arr.shape, arr.dtype) if requires_grad else None
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.slot is not None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self.slot is None else self.slot.grad
+
+    @grad.setter
+    def grad(self, g: np.ndarray | None) -> None:
+        if self.slot is None:
+            raise AutodiffError("cannot set the gradient of a tensor that does not require grad")
+        self.slot.grad = g
 
     @property
     def shape(self):
@@ -82,20 +111,35 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad:
+def _accumulate(slot: Slot | None, g: np.ndarray) -> None:
+    """Add `g` into the gradient of `slot`; a None slot (no grad) ignores it."""
+    if slot is None:
         return
-    if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype)  # a copy: g may be shared
+    if slot.grad is None:
+        slot.grad = np.array(g, dtype=slot.dtype)  # a copy: g may be shared
     else:
-        t.grad += g.astype(t.data.dtype, copy=False)
+        slot.grad += g.astype(slot.dtype, copy=False)
+
+
+def _accumulate_reduced(slot: Slot | None, g: np.ndarray) -> None:
+    """`_accumulate` of `g` summed down to the slot's shape (undo a broadcast)."""
+    if slot is not None:
+        _accumulate(slot, _reduce_to(g, slot.shape))
 
 
 def _result(data, inputs, backward_fn) -> Tensor:
-    track = _grad_enabled and any(t.requires_grad for t in inputs)
+    """The output tensor of an op on `inputs`. If grad is enabled and an
+    input requires grad, the output gets a slot and (slot, backward_fn) goes
+    on the tape; otherwise no slot is made."""
+    track = _grad_enabled and any(t.slot is not None for t in inputs)
     out = Tensor(data, requires_grad=track, dtype=data.dtype)
     if track:
-        _tape.append((out, backward_fn))
+        # Each input's gradient takes the shape and dtype of the array this op
+        # read: a parameter's array may have been replaced since its slot was made.
+        for t in inputs:
+            if t.slot is not None:
+                t.slot.shape, t.slot.dtype = t.data.shape, t.data.dtype
+        _tape.append((out.slot, backward_fn))
     return out
 
 
@@ -125,10 +169,11 @@ def _check_addable(a_shape, b_shape):
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_addable(a.shape, b.shape)
     data = a.data + b.data
+    sa, sb = a.slot, b.slot
 
     def backward(g):
-        _accumulate(a, _reduce_to(g, a.shape))
-        _accumulate(b, _reduce_to(g, b.shape))
+        _accumulate_reduced(sa, g)
+        _accumulate_reduced(sb, g)
 
     return _result(data, (a, b), backward)
 
@@ -136,30 +181,34 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_addable(a.shape, b.shape)
     data = a.data - b.data
+    sa, sb = a.slot, b.slot
 
     def backward(g):
-        _accumulate(a, _reduce_to(g, a.shape))
-        _accumulate(b, _reduce_to(-g, b.shape))
+        _accumulate_reduced(sa, g)
+        _accumulate_reduced(sb, -g)
 
     return _result(data, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_addable(a.shape, b.shape)
-    data = a.data * b.data
+    x, y = a.data, b.data
+    data = x * y
+    sa, sb = a.slot, b.slot
 
     def backward(g):
-        _accumulate(a, _reduce_to(g * b.data, a.shape))
-        _accumulate(b, _reduce_to(g * a.data, b.shape))
+        _accumulate_reduced(sa, g * y)
+        _accumulate_reduced(sb, g * x)
 
     return _result(data, (a, b), backward)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     data = a.data * a.data.dtype.type(s)
+    sa = a.slot
 
     def backward(g):
-        _accumulate(a, g * s)
+        _accumulate(sa, g * s)
 
     return _result(data, (a,), backward)
 
@@ -167,31 +216,32 @@ def scale(a: Tensor, s: float) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    data = np.matmul(a.data, b.data)
+    x, y = a.data, b.data
+    data = np.matmul(x, y)
+    sa, sb = a.slot, b.slot
 
     def backward(g):
-        da = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        db = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        _accumulate(a, _reduce_to(da, a.shape))
-        _accumulate(b, _reduce_to(db, b.shape))
+        _accumulate_reduced(sa, np.matmul(g, np.swapaxes(y, -1, -2)))
+        _accumulate_reduced(sb, np.matmul(np.swapaxes(x, -1, -2), g))
 
     return _result(data, (a, b), backward)
 
 
-def _affine(x2: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
+def _affine(x2: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x2 @ w + b for 2-D x2: the one GEMM behind `linear` and `attention`."""
-    out = x2 @ w.data
-    out += b.data
+    out = x2 @ w
+    out += b
     return out
 
 
-def _affine_backward(x2: np.ndarray, w: Tensor, b: Tensor, g2: np.ndarray,
+def _affine_backward(x2: np.ndarray, w: np.ndarray, w_slot: Slot | None,
+                     b_slot: Slot | None, g2: np.ndarray,
                      need_dx: bool) -> np.ndarray | None:
     """Accumulate the weight and bias gradients of `_affine` (each one GEMM
     or one column sum over every leading row) and return dx2 if asked."""
-    _accumulate(w, x2.T @ g2)
-    _accumulate(b, g2.sum(axis=0))
-    return g2 @ w.data.T if need_dx else None
+    _accumulate(w_slot, x2.T @ g2)
+    _accumulate(b_slot, g2.sum(axis=0))
+    return g2 @ w.T if need_dx else None
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -201,22 +251,27 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if w.data.ndim != 2 or x.data.ndim < 1 or x.shape[-1] != w.shape[0] \
             or b.shape != (w.shape[1],):
         raise ShapeError(f"linear shape mismatch: {x.shape} x {w.shape} + {b.shape}")
-    x2 = x.data.reshape(-1, w.shape[0])
-    data = _affine(x2, w, b).reshape(x.shape[:-1] + (w.shape[1],))
+    w_data, sx, sw, sb = w.data, x.slot, w.slot, b.slot
+    x2 = x.data.reshape(-1, w_data.shape[0])
+    data = _affine(x2, w_data, b.data).reshape(x.shape[:-1] + (w_data.shape[1],))
 
     def backward(g):
-        dx2 = _affine_backward(x2, w, b, g.reshape(-1, w.shape[1]), x.requires_grad)
+        dx2 = _affine_backward(x2, w_data, sw, sb, g.reshape(-1, w_data.shape[1]),
+                               sx is not None)
         if dx2 is not None:
-            _accumulate(x, dx2.reshape(x.shape))
+            _accumulate(sx, dx2.reshape(sx.shape))
 
     return _result(data, (x, w, b), backward)
 
 
 def relu(a: Tensor) -> Tensor:
+    """max(a, 0). Backward masks by the output: max(a, 0) > 0 exactly where
+    a > 0 (NaN and -0.0 included), so the input array need not be kept."""
     data = np.maximum(a.data, 0)
+    sa = a.slot
 
     def backward(g):
-        _accumulate(a, g * (a.data > 0))
+        _accumulate(sa, g * (data > 0))
 
     return _result(data, (a,), backward)
 
@@ -229,14 +284,15 @@ def dropout(a: Tensor, p: float) -> Tensor:
     if p == 0.0:
         return a
     kept = _rng.random(a.shape) >= p
+    dtype, sa = a.dtype, a.slot
 
     def scaled_mask():  # rebuilt in backward, so only the boolean mask is saved
-        return kept.astype(a.dtype) / a.dtype.type(1.0 - p)
+        return kept.astype(dtype) / dtype.type(1.0 - p)
 
     data = a.data * scaled_mask()
 
     def backward(g):
-        _accumulate(a, g * scaled_mask())
+        _accumulate(sa, g * scaled_mask())
 
     return _result(data, (a,), backward)
 
@@ -248,15 +304,16 @@ def embedding_lookup(table: Tensor, indices) -> Tensor:
         bad = int(idx.min()) if idx.min() < 0 else int(idx.max())
         raise IndexError(f"embedding index {bad} out of range for table with {rows} rows")
     data = table.data[idx]
+    st = table.slot
 
     def backward(g):
-        if not table.requires_grad:
+        if st is None:
             return
         # Scatter-add as one GEMM: a one-hot (n, rows) matrix, transposed,
         # times the (n, d) gradient rows; repeated indices sum in the product.
         flat = idx.reshape(-1)
-        one_hot = (flat[:, None] == np.arange(rows)).astype(table.data.dtype)
-        _accumulate(table, one_hot.T @ g.reshape(-1, table.shape[-1]))
+        one_hot = (flat[:, None] == np.arange(rows)).astype(st.dtype)
+        _accumulate(st, one_hot.T @ g.reshape(-1, st.shape[-1]))
 
     return _result(data, (table,), backward)
 
@@ -264,31 +321,34 @@ def embedding_lookup(table: Tensor, indices) -> Tensor:
 def concat(tensors, axis: int = -1) -> Tensor:
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
+    slots = [t.slot for t in tensors]
 
     def backward(g):
         pieces = np.split(g, np.cumsum(sizes)[:-1], axis=axis)
-        for t, piece in zip(tensors, pieces):
-            _accumulate(t, piece)
+        for slot, piece in zip(slots, pieces):
+            _accumulate(slot, piece)
 
     return _result(data, tuple(tensors), backward)
 
 
 def slice_lastdim(a: Tensor, start: int, stop: int) -> Tensor:
     data = a.data[..., start:stop]
+    sa = a.slot
 
     def backward(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(sa.shape, sa.dtype)
         full[..., start:stop] = g
-        _accumulate(a, full)
+        _accumulate(sa, full)
 
     return _result(data, (a,), backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     data = a.data.reshape(shape)
+    sa = a.slot
 
     def backward(g):
-        _accumulate(a, g.reshape(a.shape))
+        _accumulate(sa, g.reshape(sa.shape))
 
     return _result(data, (a,), backward)
 
@@ -296,18 +356,20 @@ def reshape(a: Tensor, shape) -> Tensor:
 def transpose(a: Tensor, axes) -> Tensor:
     data = a.data.transpose(axes)
     inverse = np.argsort(axes)
+    sa = a.slot
 
     def backward(g):
-        _accumulate(a, g.transpose(inverse))
+        _accumulate(sa, g.transpose(inverse))
 
     return _result(data, (a,), backward)
 
 
 def tsum(a: Tensor) -> Tensor:
     data = np.asarray(a.data.sum(), dtype=a.data.dtype)
+    sa = a.slot
 
     def backward(g):
-        _accumulate(a, np.broadcast_to(g, a.shape))
+        _accumulate(sa, np.broadcast_to(g, sa.shape))
 
     return _result(data, (a,), backward)
 
@@ -315,9 +377,10 @@ def tsum(a: Tensor) -> Tensor:
 def mean(a: Tensor) -> Tensor:
     n = a.data.size
     data = np.asarray(a.data.mean(), dtype=a.data.dtype)
+    sa = a.slot
 
     def backward(g):
-        _accumulate(a, np.broadcast_to(g / n, a.shape))
+        _accumulate(sa, np.broadcast_to(g / n, sa.shape))
 
     return _result(data, (a,), backward)
 
@@ -332,9 +395,10 @@ def softmax_lastdim(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
     if a.shape[-1] < 1:
         raise ShapeError("softmax needs a nonempty last dimension")
     data = _softmax(a.data, mask)
+    sa = a.slot
 
     def backward(g):
-        _accumulate(a, _softmax_backward(data, g))
+        _accumulate(sa, _softmax_backward(data, g))
 
     return _result(data, (a,), backward)
 
@@ -376,6 +440,9 @@ def attention(params, q_in: Tensor, kv_in: Tensor, heads: int,
     head_dim = d // heads
     s = 1.0 / np.sqrt(head_dim)
     p = params
+    # per projection: the weight array, then the weight and bias slots
+    proj_q, proj_k, proj_v, proj_o = [(w.data, w.slot, b.slot) for w, b in (
+        (p.wq, p.bq), (p.wk, p.bk), (p.wv, p.bv), (p.wo, p.bo))]
     q2 = q_in.data.reshape(-1, d)
     kv2 = kv_in.data.reshape(-1, d)
 
@@ -385,36 +452,37 @@ def attention(params, q_in: Tensor, kv_in: Tensor, heads: int,
     def merge(x):  # (B, h, T, k) -> (B*T, d)
         return x.transpose(0, 2, 1, 3).reshape(-1, d)
 
-    q = split(_affine(q2, p.wq, p.bq), t_q)
-    k = split(_affine(kv2, p.wk, p.bk), t_kv)
-    v = split(_affine(kv2, p.wv, p.bv), t_kv)
+    q = split(_affine(q2, proj_q[0], p.bq.data), t_q)
+    k = split(_affine(kv2, proj_k[0], p.bk.data), t_kv)
+    v = split(_affine(kv2, proj_v[0], p.bv.data), t_kv)
     scores = np.matmul(q, k.transpose(0, 1, 3, 2))
     scores_dtype = scores.dtype  # backward needs only this, not the array
     scores *= scores_dtype.type(s)
     weights = _softmax(scores, mask)
     ctx2 = merge(np.matmul(weights, v))
-    data = _affine(ctx2, p.wo, p.bo).reshape(batch, t_q, d)
+    data = _affine(ctx2, proj_o[0], p.bo.data).reshape(batch, t_q, d)
+    s_q, s_kv = q_in.slot, kv_in.slot
 
     def backward(g):
         # Each intermediate gradient is rounded to its forward array's dtype,
         # as separate tape ops would round it (a float64 mask widens the
         # weights but not the scores).
-        dctx = split(_affine_backward(ctx2, p.wo, p.bo, g.reshape(-1, d), True), t_q)
+        dctx = split(_affine_backward(ctx2, *proj_o, g.reshape(-1, d), True), t_q)
         dv = np.matmul(weights.transpose(0, 1, 3, 2), dctx).astype(v.dtype, copy=False)
         dweights = np.matmul(dctx, v.transpose(0, 1, 3, 2))
         dscores = _softmax_backward(weights, dweights).astype(scores_dtype, copy=False)
         dscores = (dscores * s).astype(scores_dtype, copy=False)
         dq = np.matmul(dscores, k).astype(q.dtype, copy=False)
         dk = np.matmul(dscores.transpose(0, 1, 3, 2), q).astype(k.dtype, copy=False)
-        need_q, need_kv = q_in.requires_grad, kv_in.requires_grad
-        dv_in = _affine_backward(kv2, p.wv, p.bv, merge(dv), need_kv)
-        dk_in = _affine_backward(kv2, p.wk, p.bk, merge(dk), need_kv)
-        dq_in = _affine_backward(q2, p.wq, p.bq, merge(dq), need_q)
+        need_q, need_kv = s_q is not None, s_kv is not None
+        dv_in = _affine_backward(kv2, *proj_v, merge(dv), need_kv)
+        dk_in = _affine_backward(kv2, *proj_k, merge(dk), need_kv)
+        dq_in = _affine_backward(q2, *proj_q, merge(dq), need_q)
         if need_kv:
-            _accumulate(kv_in, dv_in.reshape(kv_in.shape))
-            _accumulate(kv_in, dk_in.reshape(kv_in.shape))
+            _accumulate(s_kv, dv_in.reshape(s_kv.shape))
+            _accumulate(s_kv, dk_in.reshape(s_kv.shape))
         if need_q:
-            _accumulate(q_in, dq_in.reshape(q_in.shape))
+            _accumulate(s_q, dq_in.reshape(s_q.shape))
 
     inputs = (q_in, kv_in, p.wq, p.bq, p.wk, p.bk, p.wv, p.bv, p.wo, p.bo)
     return _result(data, inputs, backward)
@@ -445,19 +513,21 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5,
     var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / d
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat *= inv_std
-    data = gain.data * xhat + bias.data
+    gain_data = gain.data
+    data = gain_data * xhat + bias.data
+    sr = None if residual is None else residual.slot
+    sx, sg, sb = x.slot, gain.slot, bias.slot
 
     def backward(g):
-        dxhat = g * gain.data
+        dxhat = g * gain_data
         dx = inv_std * (dxhat - dxhat.mean(axis=-1, keepdims=True)
                         - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
         dx = dx.astype(xhat.dtype, copy=False)  # the sum's own grad, as `add` rounds it
-        _accumulate(x, dx)
-        if residual is not None:
-            _accumulate(residual, dx)
+        _accumulate(sx, dx)
+        _accumulate(sr, dx)
         lead = tuple(range(g.ndim - 1))
-        _accumulate(gain, (g * xhat).sum(axis=lead))
-        _accumulate(bias, g.sum(axis=lead))
+        _accumulate(sg, (g * xhat).sum(axis=lead))
+        _accumulate(sb, g.sum(axis=lead))
 
     return _result(data, inputs, backward)
 
@@ -471,11 +541,11 @@ def backward(loss: Tensor) -> None:
         raise AutodiffError(f"backward needs a scalar loss, got shape {loss.shape}")
     if len(_tape) == 0:
         raise AutodiffError("tape is empty: run a forward pass before backward")
-    loss.grad = np.ones_like(loss.data)
     try:
+        loss.grad = np.ones_like(loss.data)
         while _tape:
-            out, fn = _tape.pop()
-            if out.grad is not None:
-                fn(out.grad)
+            slot, fn = _tape.pop()
+            if slot.grad is not None:
+                fn(slot.grad)
     finally:
         _tape.clear()

@@ -96,17 +96,18 @@ def total_loss(det: Tensor, quant: Tensor, targets: np.ndarray,
         s = np.maximum(under, 0) * dtype.type(q) + np.maximum(over, 0) * dtype.type(1.0 - q)
         loss = loss + s.mean() * dtype.type(beta)
         signs.append((under > 0, over > 0))
+    det_slot, quant_slot = det.slot, quant.slot
 
     def backward(g):
-        if det.requires_grad:
+        if det_slot is not None:
             d_err = g * alpha / err.size * err
-            T._accumulate(det, d_err + d_err)
-        if quant.requires_grad:
+            T._accumulate(det_slot, d_err + d_err)
+        if quant_slot is not None:
             c = g * beta / residual.size
-            d_quant = np.zeros_like(quant.data)
+            d_quant = np.zeros(quant_slot.shape, quant_slot.dtype)
             for i, (q, (above, below)) in enumerate(zip(quantiles, signs)):
                 d_quant[..., i] += c * (1.0 - q) * below - c * q * above
-            T._accumulate(quant, d_quant)
+            T._accumulate(quant_slot, d_quant)
 
     return T._result(loss, (det, quant), backward)
 

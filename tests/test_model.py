@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -231,8 +233,8 @@ class TestTapeOps:
 
     def test_backward_peak_memory_stays_near_the_forward_activations(self):
         """Backward frees each op's saved arrays once its closure has run, so
-        its traced peak stays close to what the forward left live: 1.07x,
-        where a backward that keeps the whole tape until the end reads 1.74x."""
+        its traced peak stays close to what the forward left live: 1.14x,
+        where a backward that keeps the whole tape until the end reads 2.29x."""
         hp = Hyperparams()
         T.seed_all(0)
         model = ForecastModel(hp)
@@ -249,6 +251,95 @@ class TestTapeOps:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * live, f"backward peak {peak} B, forward live {live} B"
+
+    def test_tape_holds_slots_and_no_backward_captures_a_tensor(self):
+        """Each tape entry is (output slot, backward), and a backward closure
+        captures only the slots it adds into and the arrays it reads, never a
+        tensor (nor does any function, tuple, list or dict it captures)."""
+        hp = Hyperparams()
+        T.seed_all(0)
+        model = ForecastModel(hp)
+        enc_x, enc_meta, targets, dec_meta = make_batch(hp, batch=8)
+        det, quant = model.forward_training(enc_x, enc_meta, targets, dec_meta)
+        total_loss(det, quant, targets, 0.9, 1.2)
+
+        def captured(obj, seen):
+            if id(obj) in seen:
+                return
+            seen.add(id(obj))
+            yield obj
+            if callable(obj) and getattr(obj, "__closure__", None):
+                inner = [cell.cell_contents for cell in obj.__closure__]
+            elif isinstance(obj, (tuple, list)):
+                inner = obj
+            elif isinstance(obj, dict):
+                inner = obj.values()
+            else:
+                return
+            for item in inner:
+                yield from captured(item, seen)
+
+        assert len(T.tape()) == 59
+        for slot, backward in T.tape():
+            assert isinstance(slot, T.Slot)
+            held = [type(x).__name__ for x in captured(backward, set())
+                    if isinstance(x, T.Tensor)]
+            assert not held, f"{backward.__qualname__} captures {held}"
+
+    def test_op_outputs_no_backward_reads_die_while_the_tape_lives(self, monkeypatch):
+        """No backward reads an attention output (dropout keeps its mask, the
+        residual norm its normalized sum) or a pre-ReLU array (relu masks by
+        its output), so each is freed as soon as the forward drops it."""
+        refs = {"attention": [], "relu input": []}
+
+        def base(arr):
+            while arr.base is not None:
+                arr = arr.base
+            return weakref.ref(arr)
+
+        attention, relu = T.attention, T.relu
+
+        def traced_attention(*args, **kwargs):
+            out = attention(*args, **kwargs)
+            refs["attention"].append(base(out.data))
+            return out
+
+        def traced_relu(a):
+            refs["relu input"].append(base(a.data))
+            return relu(a)
+
+        monkeypatch.setattr(T, "attention", traced_attention)
+        monkeypatch.setattr(T, "relu", traced_relu)
+        hp = Hyperparams()
+        T.seed_all(0)
+        model = ForecastModel(hp)
+        enc_x, enc_meta, targets, dec_meta = make_batch(hp, batch=8)
+        det, quant = model.forward_training(enc_x, enc_meta, targets, dec_meta)
+        loss = total_loss(det, quant, targets, 0.9, 1.2)
+        gc.collect()
+        assert len(T.tape()) == 59
+        assert [len(refs["attention"]), len(refs["relu input"])] == [8, 5]
+        for kind, arrays in refs.items():
+            assert [r() is None for r in arrays] == [True] * len(arrays), kind
+        T.backward(loss)
+
+    def test_forward_and_loss_leave_at_most_40_mb_live_at_b400(self):
+        """Traced bytes that a default training forward and loss leave live at
+        B=400: about 35 MB when backward closures hold slots and the arrays
+        they read, 55 MB when the tape held every op's output tensor."""
+        hp = Hyperparams()
+        T.seed_all(0)
+        model = ForecastModel(hp)
+        enc_x, enc_meta, targets, dec_meta = make_batch(hp, batch=400)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            det, quant = model.forward_training(enc_x, enc_meta, targets, dec_meta)
+            total_loss(det, quant, targets, 0.9, 1.2)
+            live = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert live <= 40e6, f"{live / 1e6:.1f} MB live after forward and loss"
 
     def test_forward_block_leaves_the_tape_empty(self):
         hp = Hyperparams()

@@ -339,6 +339,23 @@ class TestElementwise:
         np.testing.assert_allclose(kept, 1.0 / 0.75, atol=1e-6)
         assert abs(len(kept) / 10000 - 0.75) < 0.02
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_output_mask_is_the_input_mask_bit_for_bit(self, dtype):
+        """relu's backward masks by its output, max(x, 0) > 0, so the input
+        array need not be kept; that is exactly x > 0 for every float."""
+        info = np.finfo(dtype)
+        x = np.array([1.5, -1.5, 0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, info.max,
+                      -info.max, info.tiny, -info.tiny, info.smallest_subnormal,
+                      -info.smallest_subnormal, 3 * info.smallest_subnormal], dtype=dtype)
+        g = np.linspace(-2.0, 2.0, x.size).astype(dtype)
+        a = Tensor(x, requires_grad=True, dtype=dtype)
+        T.relu(a)
+        _, backward = T.tape()[-1]
+        backward(g)
+        assert np.array_equal(np.maximum(x, 0) > 0, x > 0)
+        assert a.grad.dtype == dtype
+        assert a.grad.tobytes() == (g * (x > 0)).tobytes()
+
     @pytest.mark.parametrize("p", [1.0, -0.1, float("nan")])
     def test_dropout_rejects_a_rate_outside_0_1(self, p):
         with pytest.raises(ValueError, match=r"dropout rate must be in \[0, 1\)"):
@@ -421,6 +438,21 @@ class TestBackwardContract:
         with pytest.raises(RuntimeError, match="backward failed"):
             T.backward(loss)
         assert len(T.tape()) == 0
+
+    def test_loss_that_requires_no_grad_is_an_error_and_clears_the_tape(self):
+        T.tsum(Tensor([1.0, 2.0], requires_grad=True))
+        with pytest.raises(AutodiffError, match="does not require grad"):
+            T.backward(T.tsum(Tensor([3.0])))
+        assert len(T.tape()) == 0
+
+    def test_data_assignment_keeps_the_slot_in_step(self):
+        """A float64 copy of a parameter gets float64 gradients, as the
+        gradient-check tests that upcast parameters need."""
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        x.data = x.data.astype(np.float64)
+        T.backward(T.tsum(T.scale(x, 0.1)))
+        assert x.slot.shape == (2, 3) and x.grad.dtype == np.float64
+        assert x.grad.tobytes() == np.full((2, 3), 0.1).tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_dropout_gradient_is_g_times_the_scaled_keep_mask(self, dtype):
