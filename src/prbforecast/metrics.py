@@ -63,6 +63,8 @@ def anchor_positions(series_len: int, n_past: int, horizon: int,
     if n_anchors == 1:
         return [lo]
     span = hi - lo
+    if n_anchors - 1 >= span:  # spacing of at most one step: every position
+        return list(range(lo, hi + 1))
     return sorted({lo + round(i * span / (n_anchors - 1)) for i in range(n_anchors)})
 
 

@@ -1,13 +1,13 @@
 """Minimal dense tensor library with reverse-mode autodiff.
 
 Tensors wrap numpy arrays (float32 by default; float64 is allowed so test
-oracles can run at higher precision). A tensor that requires grad also
-holds a `Slot`: its gradient buffer and that buffer's shape and dtype, but
-no values. Differentiable ops record (output slot, backward closure) pairs
-on a global tape, and each closure captures only the slots it adds into
-and the arrays it reads, never a tensor. So an op's output array lives only
-as long as the forward holds its tensor or some backward reads it.
-`backward()` pops and runs the closures from the end and leaves the tape
+oracles can run at higher precision). A tensor that requires grad also holds
+a `Slot`: its gradient buffer and the shape and dtype of the array it was
+made with, but no values. Differentiable ops record (output slot, backward
+closure) pairs on a global tape, and each closure captures only the slots it
+adds into and the arrays it reads, never a tensor. So an op's output array
+lives only as long as the forward holds its tensor or some backward reads
+it. `backward()` pops and runs the closures from the end and leaves the tape
 empty, so a second backward without a fresh forward pass is an error.
 
 Only the broadcasting the model needs is supported: equal shapes, scalars,
@@ -66,8 +66,8 @@ class no_grad:
 
 
 class Slot:
-    """The gradient state of a tensor that requires grad: the gradient
-    buffer and the shape and dtype it takes, but no values."""
+    """The gradient state of a tensor that requires grad, but no values: the
+    gradient buffer and its shape and dtype, fixed when the tensor is made."""
     __slots__ = ("grad", "shape", "dtype")
 
     def __init__(self, shape, dtype):
@@ -134,11 +134,6 @@ def _result(data, inputs, backward_fn) -> Tensor:
     track = _grad_enabled and any(t.slot is not None for t in inputs)
     out = Tensor(data, requires_grad=track, dtype=data.dtype)
     if track:
-        # Each input's gradient takes the shape and dtype of the array this op
-        # read: a parameter's array may have been replaced since its slot was made.
-        for t in inputs:
-            if t.slot is not None:
-                t.slot.shape, t.slot.dtype = t.data.shape, t.data.dtype
         _tape.append((out.slot, backward_fn))
     return out
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from prbforecast import tensor as T
+from prbforecast.model import drawing_factory
 
 
 @pytest.fixture(autouse=True)
@@ -19,11 +20,12 @@ def clean_tape():
 def central_diff(f, tensors, h=1e-3):
     """Central finite differences of scalar f() w.r.t. each tensor's data.
 
-    Perturbs in place; tensors should hold float64 data so the oracle runs
+    Perturbs in place; tensors must hold float64 data so the oracle runs
     at 64-bit precision.
     """
     grads = []
     for p in tensors:
+        assert p.data.dtype == np.float64, f"central_diff needs float64, got {p.data.dtype}"
         g = np.zeros_like(p.data, dtype=np.float64)
         flat = p.data.reshape(-1)
         gflat = g.reshape(-1)
@@ -42,14 +44,25 @@ def central_diff(f, tensors, h=1e-3):
 
 
 def assert_grads_close(analytic, numeric, rtol=1e-3, atol=1e-5):
-    analytic = np.asarray(analytic, dtype=np.float64)
-    numeric = np.asarray(numeric, dtype=np.float64)
+    """Float64 analytic gradients match `numeric`; float32 ones are an error."""
+    assert analytic.dtype == np.float64, f"analytic gradient is {analytic.dtype}"
     np.testing.assert_allclose(analytic, numeric, rtol=rtol, atol=atol)
 
 
 def f64_tensor(rng, shape, requires_grad=True, scale=1.0):
     return T.Tensor(rng.standard_normal(shape) * scale,
                     requires_grad=requires_grad, dtype=np.float64)
+
+
+def float64_factory(rng):
+    """`model.drawing_factory(rng)` making each tensor as float64: the drawn
+    values unchanged, so the tensor's gradient slot is float64 too."""
+    draw = drawing_factory(rng)
+
+    def new(*args, **kwargs):
+        return T.Tensor(draw(*args, **kwargs).data, requires_grad=True, dtype=np.float64)
+
+    return new
 
 
 def edit_header(blob: bytes, edit) -> bytes:

@@ -23,7 +23,7 @@ from prbforecast.training import (TrainConfig, adam_step, AdamState,
                                   checkpoint_bytes, load_checkpoint,
                                   save_checkpoint, total_loss, train)
 
-from conftest import central_diff
+from conftest import central_diff, float64_factory
 
 TINY = Hyperparams(d_emb=4, n_enc_layers=1, n_dec_layers=1, heads=2, d_ff=8,
                    n_past=2, n_future=2)
@@ -56,9 +56,7 @@ def test_criterion_1_full_gradient_check():
     differences (64-bit, h=1e-3) for every parameter of a tiny model."""
     start = time.time()
     T.seed_all(5)
-    model = ForecastModel(TINY)
-    for _, p in model.named_params():
-        p.data = p.data.astype(np.float64)
+    model = ForecastModel(TINY, float64_factory(T.get_rng()))
     enc_x, enc_meta, targets, dec_meta = random_batch(TINY, seed=17,
                                                       dtype=np.float64)
     params = model.params()
@@ -76,6 +74,7 @@ def test_criterion_1_full_gradient_check():
     ok = True
     for p, num in zip(params, numeric):
         analytic = p.grad if p.grad is not None else np.zeros_like(num)
+        assert analytic.dtype == np.float64, f"analytic gradient is {analytic.dtype}"
         if not np.allclose(analytic, num, rtol=1e-3, atol=1e-5):
             ok = False
             break

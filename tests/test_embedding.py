@@ -5,7 +5,7 @@ from prbforecast import tensor as T
 from prbforecast.embedding import META_ORDER, EmbeddingTables, embed_tokens, embedding_sum
 from prbforecast.model import Hyperparams, drawing_factory
 
-from conftest import assert_grads_close, central_diff
+from conftest import assert_grads_close, central_diff, float64_factory
 
 
 def make_tables(d_emb=8, n_past=4, n_future=2, seed=0):
@@ -146,10 +146,8 @@ def test_embedding_sum_is_bitwise_equal_to_the_lookup_chain():
 
 
 def test_embedding_sum_gradient_matches_finite_differences():
-    tables = make_tables(d_emb=3, seed=10)
+    tables = EmbeddingTables.create(3, 4, 2, float64_factory(np.random.default_rng(10)))
     leaves = table_leaves(tables)
-    for t in leaves:
-        t.data = t.data.astype(np.float64)
     _, meta = make_inputs(batch=2, steps=4, seed=11)
     rng = np.random.default_rng(12)
     proj = T.Tensor(rng.standard_normal((2, 4, 3)), requires_grad=True, dtype=np.float64)

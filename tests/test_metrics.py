@@ -178,6 +178,22 @@ class TestAnchorPositions:
         with pytest.raises(ValueError):
             anchor_positions(50, 4, 96, 1)
 
+    def test_matches_the_evenly_spaced_comprehension(self):
+        """Oracle: the comprehension over every requested anchor, which the
+        function keeps only while anchors are fewer than positions."""
+        def oracle(lo, span, n):
+            if n == 1:
+                return [lo]
+            return sorted({lo + round(i * span / (n - 1)) for i in range(n)})
+
+        for span in range(120):
+            for n in range(1, span + 30):
+                assert anchor_positions(span + 10, 4, 6, n) == oracle(4, span, n), (span, n)
+
+    def test_huge_count_returns_every_position_at_once(self):
+        # one iteration per anchor would not end: 10**15 of them
+        assert anchor_positions(200, 4, 96, 10 ** 15) == list(range(4, 105))
+
 
 class TestSvg:
     def _forecast(self, k):

@@ -12,7 +12,7 @@ from prbforecast.model import (MAX_PARAMS, DecoderOutput, ForecastModel, Hyperpa
                                causal_mask, param_count)
 from prbforecast.training import total_loss
 
-from conftest import assert_grads_close, central_diff
+from conftest import assert_grads_close, central_diff, float64_factory
 
 TINY = Hyperparams(d_emb=4, n_enc_layers=1, n_dec_layers=1, heads=2, d_ff=8,
                    n_past=2, n_future=2)
@@ -20,11 +20,7 @@ TINY = Hyperparams(d_emb=4, n_enc_layers=1, n_dec_layers=1, heads=2, d_ff=8,
 
 def tiny_model(seed=0, dtype=np.float32):
     T.seed_all(seed)
-    model = ForecastModel(TINY)
-    if dtype is not np.float32:
-        for _, p in model.named_params():
-            p.data = p.data.astype(dtype)
-    return model
+    return ForecastModel(TINY, float64_factory(T.get_rng()) if dtype is np.float64 else None)
 
 
 def make_batch(hp, batch=1, seed=3):
@@ -459,5 +455,6 @@ class TestFullGradient:
         T.backward(total_loss(det, quant, targets, 0.9, 1.2, hp.quantiles))
         for (name, p), num in zip(model.named_params(), numeric):
             analytic = p.grad if p.grad is not None else np.zeros_like(num)
+            assert analytic.dtype == np.float64, f"{name} gradient is {analytic.dtype}"
             np.testing.assert_allclose(analytic, num, rtol=1e-3, atol=1e-5,
                                        err_msg=f"gradient mismatch for {name}")

@@ -445,15 +445,6 @@ class TestBackwardContract:
             T.backward(T.tsum(Tensor([3.0])))
         assert len(T.tape()) == 0
 
-    def test_data_assignment_keeps_the_slot_in_step(self):
-        """A float64 copy of a parameter gets float64 gradients, as the
-        gradient-check tests that upcast parameters need."""
-        x = Tensor(np.ones((2, 3)), requires_grad=True)
-        x.data = x.data.astype(np.float64)
-        T.backward(T.tsum(T.scale(x, 0.1)))
-        assert x.slot.shape == (2, 3) and x.grad.dtype == np.float64
-        assert x.grad.tobytes() == np.full((2, 3), 0.1).tobytes()
-
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_dropout_gradient_is_g_times_the_scaled_keep_mask(self, dtype):
         """The gradient is the incoming one times the forward's scaled mask,

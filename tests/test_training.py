@@ -123,6 +123,7 @@ class TestFusedLoss:
         numeric = central_diff(
             lambda: float(total_loss(det, quant, targets, 0.9, 1.2).data), [det, quant])
         T.backward(total_loss(det, quant, targets, 0.9, 1.2))
+        assert det.grad.dtype == quant.grad.dtype == np.float64
         np.testing.assert_allclose(det.grad, numeric[0], rtol=1e-6, atol=1e-9)
         np.testing.assert_allclose(quant.grad, numeric[1], rtol=1e-6, atol=1e-9)
 
