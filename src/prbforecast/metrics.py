@@ -17,6 +17,7 @@ from .model import ForecastModel
 from .rollout import rollout, window_from_records
 
 PLOT_WIDTH, PLOT_HEIGHT = 960, 360  # SVG canvas, px
+EVAL_CHUNK_ROWS = 256  # (carrier, anchor) rows rolled out and scored at once
 
 
 def mae(truth, median_pred):
@@ -72,25 +73,35 @@ def evaluate(model: ForecastModel, normalizer: Normalizer,
              test_series: list[KpiSeries], horizon: int,
              n_anchors: int = 1, plot_dir: str | None = None) -> dict:
     """Per-carrier rollout metrics on residual PRB, averaged over anchors,
-    plus carrier-level aggregates. All (carrier, anchor) rows are rolled
-    out as one batch and scored as one (rows, K) array; a carrier's entry is
-    the mean over its rows. With `plot_dir`, each carrier's first-anchor
-    forecast is also drawn to `carrier_<id>.svg` there."""
+    plus carrier-level aggregates. The (carrier, anchor) rows are rolled out
+    as batches of at most `EVAL_CHUNK_ROWS` and scored as (rows, K) arrays,
+    so memory does not grow with the row count; only each row's scores are
+    kept. A carrier's entry is the mean over its rows. With `plot_dir`, each
+    carrier's first-anchor forecast is also drawn to `carrier_<id>.svg`
+    there."""
     hp = model.hp
     series_list = sorted(test_series, key=lambda s: s.carrier_id)
     if not series_list:
         raise ValueError("no series to evaluate")
     anchors = [anchor_positions(len(s), hp.n_past, horizon, n_anchors)
                for s in series_list]
-    rows = [window_from_records(s, a, hp.n_past, normalizer)
-            + (s.carrier_id, s.values[a:a + horizon, -1])
-            for s, anchor_list in zip(series_list, anchors) for a in anchor_list]
-    windows, starts, carriers, truth = map(np.stack, zip(*rows))
-    times, out = rollout(model, windows, starts, carriers, horizon)
-    q10, q50, q90 = np.moveaxis(out.quantiles, -1, 0)  # (rows, K) each
-    maes, stds = mae(truth, q50), abs_err_std(truth, q50)
-    hits = hit_probability(truth, q10, q90)
+    pairs = [(s, a) for s, anchor_list in zip(series_list, anchors) for a in anchor_list]
     bounds = np.cumsum([0] + [len(a) for a in anchors])  # rows: carrier-major, then anchor
+    first_rows = set(bounds[:-1].tolist())
+    firsts = {}  # each carrier's first row: its truth, instants and quantiles
+    scores = []  # per chunk: each row's MAE, spread and hit
+    for start in range(0, len(pairs), EVAL_CHUNK_ROWS):
+        rows = [window_from_records(s, a, hp.n_past, normalizer)
+                + (s.carrier_id, s.values[a:a + horizon, -1])
+                for s, a in pairs[start:start + EVAL_CHUNK_ROWS]]
+        windows, starts, carriers, truth = map(np.stack, zip(*rows))
+        times, out = rollout(model, windows, starts, carriers, horizon)
+        q10, q50, q90 = np.moveaxis(out.quantiles, -1, 0)  # (rows, K) each
+        scores.append((mae(truth, q50), abs_err_std(truth, q50),
+                       hit_probability(truth, q10, q90)))
+        for row in first_rows.intersection(range(start, start + len(rows))):
+            firsts[row] = [a[row - start].copy() for a in (truth, times, out.quantiles)]
+    maes, stds, hits = map(np.concatenate, zip(*scores))
     per_carrier = [{
         "carrier_id": series.carrier_id,
         "mae": float(np.mean(maes[lo:hi])),
@@ -101,8 +112,9 @@ def evaluate(model: ForecastModel, normalizer: Normalizer,
     } for series, anchor_list, lo, hi in zip(series_list, anchors, bounds, bounds[1:])]
     if plot_dir:
         os.makedirs(plot_dir, exist_ok=True)
-        for series, lo in zip(series_list, bounds):
-            emit_plot_svg(truth[lo], times[lo], series.carrier_id, out.quantiles[lo],
+        for series, row in zip(series_list, bounds):
+            truth, times, quantiles = firsts[row]
+            emit_plot_svg(truth, times, series.carrier_id, quantiles,
                           os.path.join(plot_dir, f"carrier_{series.carrier_id}.svg"))
     carrier_maes = [c["mae"] for c in per_carrier]
     return {

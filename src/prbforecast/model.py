@@ -215,8 +215,8 @@ def _attention(params: AttentionParams, q_in: Tensor, kv_in: Tensor, heads: int,
 
 
 def _feed_forward(params: FeedForwardParams, x: Tensor, dropout_rate: float) -> Tensor:
-    h = T.relu(T.linear(x, params.w1, params.b1))
-    return T.dropout(T.linear(h, params.w2, params.b2), dropout_rate)
+    f = T.feed_forward(x, params.w1, params.b1, params.w2, params.b2)
+    return T.dropout(f, dropout_rate)
 
 
 class ForecastModel:

@@ -7,8 +7,13 @@ made with, but no values. Differentiable ops record (output slot, backward
 closure) pairs on a global tape, and each closure captures only the slots it
 adds into and the arrays it reads, never a tensor. So an op's output array
 lives only as long as the forward holds its tensor or some backward reads
-it. `backward()` pops and runs the closures from the end and leaves the tape
-empty, so a second backward without a fresh forward pass is an error.
+it. An op may also save only its inputs (and what is dear to rebuild, such
+as `attention`'s softmax weights) and rebuild its other intermediates in
+backward with the forward's own expressions, bit for bit. That is sound
+because no parameter array changes between a forward and its backward; the
+closures read the weight arrays in any case. `backward()` pops and runs the
+closures from the end and leaves the tape empty, so a second backward
+without a fresh forward pass is an error.
 
 Only the broadcasting the model needs is supported: equal shapes, scalars,
 and a trailing-dimension bias vector. Keeps every backward rule auditable.
@@ -259,6 +264,37 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _result(data, (x, w, b), backward)
 
 
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """relu(x @ w1 + b1) @ w2 + b2 over the last axis of x as one tape op,
+    bit-identical to `linear`, `relu`, `linear` in value and gradients.
+    Backward keeps x's array and rebuilds the hidden layer from it."""
+    if (x.data.ndim < 1 or w1.data.ndim != 2 or w2.data.ndim != 2
+            or x.shape[-1] != w1.shape[0] or b1.shape != (w1.shape[1],)
+            or w2.shape[0] != w1.shape[1] or b2.shape != (w2.shape[1],)):
+        raise ShapeError(f"feed_forward shape mismatch: {x.shape} x {w1.shape} + {b1.shape}, "
+                         f"then x {w2.shape} + {b2.shape}")
+    w1_data, b1_data, w2_data = w1.data, b1.data, w2.data
+    sx, sw1, sb1, sw2, sb2 = x.slot, w1.slot, b1.slot, w2.slot, b2.slot
+    x2 = x.data.reshape(-1, w1_data.shape[0])
+
+    def hidden():  # by the forward, and again by backward
+        return np.maximum(_affine(x2, w1_data, b1_data), 0)
+
+    data = _affine(hidden(), w2_data, b2.data).reshape(x.shape[:-1] + (w2_data.shape[1],))
+
+    def backward(g):
+        h = hidden()
+        dh = _affine_backward(h, w2_data, sw2, sb2, g.reshape(-1, w2_data.shape[1]), True)
+        # rounded as the chain rounds it: to the hidden slot's dtype, then
+        # masked as `relu` masks (by its output)
+        dh = dh.astype(h.dtype, copy=False) * (h > 0)
+        dx2 = _affine_backward(x2, w1_data, sw1, sb1, dh, sx is not None)
+        if dx2 is not None:
+            _accumulate(sx, dx2.reshape(sx.shape))
+
+    return _result(data, (x, w1, b1, w2, b2), backward)
+
+
 def relu(a: Tensor) -> Tensor:
     """max(a, 0). Backward masks by the output: max(a, 0) > 0 exactly where
     a > 0 (NaN and -0.0 included), so the input array need not be kept."""
@@ -426,6 +462,8 @@ def attention(params, q_in: Tensor, kv_in: Tensor, heads: int,
     same tensor for self-attention. `mask` is an additive (T_q, T_kv) array
     as in `softmax_lastdim`. The four projections are GEMMs over all B*T
     rows; the score and context products are per-row (B, h, T, k) matmuls.
+    Backward keeps the inputs and the softmax weights and rebuilds q, k, v
+    and the context from them.
     """
     batch, t_q, d = q_in.shape
     t_kv = kv_in.shape[1]
@@ -438,6 +476,7 @@ def attention(params, q_in: Tensor, kv_in: Tensor, heads: int,
     # per projection: the weight array, then the weight and bias slots
     proj_q, proj_k, proj_v, proj_o = [(w.data, w.slot, b.slot) for w, b in (
         (p.wq, p.bq), (p.wk, p.bk), (p.wv, p.bv), (p.wo, p.bo))]
+    bq, bk, bv = p.bq.data, p.bk.data, p.bv.data
     q2 = q_in.data.reshape(-1, d)
     kv2 = kv_in.data.reshape(-1, d)
 
@@ -447,18 +486,22 @@ def attention(params, q_in: Tensor, kv_in: Tensor, heads: int,
     def merge(x):  # (B, h, T, k) -> (B*T, d)
         return x.transpose(0, 2, 1, 3).reshape(-1, d)
 
-    q = split(_affine(q2, proj_q[0], p.bq.data), t_q)
-    k = split(_affine(kv2, proj_k[0], p.bk.data), t_kv)
-    v = split(_affine(kv2, proj_v[0], p.bv.data), t_kv)
+    def project():  # q, k and v, by the forward and again by backward
+        return (split(_affine(q2, proj_q[0], bq), t_q),
+                split(_affine(kv2, proj_k[0], bk), t_kv),
+                split(_affine(kv2, proj_v[0], bv), t_kv))
+
+    q, k, v = project()
     scores = np.matmul(q, k.transpose(0, 1, 3, 2))
     scores_dtype = scores.dtype  # backward needs only this, not the array
     scores *= scores_dtype.type(s)
     weights = _softmax(scores, mask)
-    ctx2 = merge(np.matmul(weights, v))
-    data = _affine(ctx2, proj_o[0], p.bo.data).reshape(batch, t_q, d)
+    data = _affine(merge(np.matmul(weights, v)), proj_o[0], p.bo.data).reshape(batch, t_q, d)
     s_q, s_kv = q_in.slot, kv_in.slot
 
     def backward(g):
+        q, k, v = project()
+        ctx2 = merge(np.matmul(weights, v))
         # Each intermediate gradient is rounded to its forward array's dtype,
         # as separate tape ops would round it (a float64 mask widens the
         # weights but not the scores).

@@ -4,6 +4,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
+from prbforecast import metrics
 from prbforecast import tensor as T
 from prbforecast.data import STEP, KpiSeries, Normalizer, to_datetime64
 from prbforecast.metrics import (PLOT_HEIGHT, abs_err_std, anchor_positions, emit_plot_svg,
@@ -149,6 +150,44 @@ class TestEvaluate:
             assert entry["mae"] == float(np.mean(maes))
             assert entry["abs_err_std"] == float(np.mean(stds))
             assert entry["hit_prob"] == float(np.mean(hits))
+
+    def test_rows_are_rolled_out_in_chunks_with_the_one_batch_scores(self, monkeypatch,
+                                                                     tmp_path):
+        """An eval of more rows than `EVAL_CHUNK_ROWS` rolls them out in
+        chunks of at most that many. Its report and each carrier's plotted
+        first row match the one-batch eval's, up to the rounding a GEMM's
+        batch size may change."""
+        model, norm, series = self._setup()
+        sizes, plotted = [], []
+
+        def counted_rollout(model, windows, *args):
+            sizes.append(len(windows))
+            return rollout(model, windows, *args)
+
+        def captured_plot(truth, times, carrier_id, quantiles, path):
+            plotted.append((truth, times, carrier_id, quantiles))
+
+        monkeypatch.setattr(metrics, "rollout", counted_rollout)
+        monkeypatch.setattr(metrics, "emit_plot_svg", captured_plot)
+        runs = []
+        for chunk in (metrics.EVAL_CHUNK_ROWS, 5):
+            monkeypatch.setattr(metrics, "EVAL_CHUNK_ROWS", chunk)
+            runs.append(evaluate(model, norm, series, horizon=8, n_anchors=6,
+                                 plot_dir=str(tmp_path)))
+        assert sizes == [12, 5, 5, 2]
+        whole, chunked = runs
+        assert chunked["metadata"] == whole["metadata"]
+        for got, want in zip(chunked["per_carrier"] + [chunked["aggregate"]],
+                             whole["per_carrier"] + [whole["aggregate"]]):
+            assert got.keys() == want.keys()
+            for key, value in want.items():
+                assert got[key] == pytest.approx(value, rel=0, abs=1e-12), key
+        assert len(plotted) == 4
+        for got, want in zip(plotted[2:], plotted[:2]):
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+            assert got[2] == want[2]
+            np.testing.assert_allclose(got[3], want[3], rtol=0, atol=1e-12)
 
     def test_anchor_out_of_range(self):
         model, norm, series = self._setup()

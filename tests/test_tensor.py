@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from prbforecast import tensor as T
-from prbforecast.model import causal_mask
+from prbforecast.model import FeedForwardParams, causal_mask
 from prbforecast.tensor import AutodiffError, ShapeError, Tensor
 
-from conftest import assert_grads_close, central_diff, f64_tensor
+from conftest import assert_grads_close, central_diff, f64_tensor, float64_factory
 
 
 class TestMatmul:
@@ -182,6 +182,166 @@ class TestAttention:
             T.attention(p, f64_tensor(rng, (1, 3, 4)), f64_tensor(rng, (1, 3, 4)), 3)
         with pytest.raises(ShapeError):
             T.attention(p, f64_tensor(rng, (1, 3, 4)), f64_tensor(rng, (2, 3, 4)), 2)
+
+
+def storing_attention(params, q_in, kv_in, heads, mask=None):
+    """`T.attention` as it was when its backward read saved q, k, v and
+    context arrays: the oracle for the op that rebuilds them."""
+    batch, t_q, d = q_in.shape
+    t_kv = kv_in.shape[1]
+    head_dim = d // heads
+    s = 1.0 / np.sqrt(head_dim)
+    p = params
+    proj_q, proj_k, proj_v, proj_o = [(w.data, w.slot, b.slot) for w, b in (
+        (p.wq, p.bq), (p.wk, p.bk), (p.wv, p.bv), (p.wo, p.bo))]
+    q2 = q_in.data.reshape(-1, d)
+    kv2 = kv_in.data.reshape(-1, d)
+
+    def split(x2, steps):
+        return x2.reshape(batch, steps, heads, head_dim).transpose(0, 2, 1, 3)
+
+    def merge(x):
+        return x.transpose(0, 2, 1, 3).reshape(-1, d)
+
+    q = split(T._affine(q2, proj_q[0], p.bq.data), t_q)
+    k = split(T._affine(kv2, proj_k[0], p.bk.data), t_kv)
+    v = split(T._affine(kv2, proj_v[0], p.bv.data), t_kv)
+    scores = np.matmul(q, k.transpose(0, 1, 3, 2))
+    scores_dtype = scores.dtype
+    scores *= scores_dtype.type(s)
+    weights = T._softmax(scores, mask)
+    ctx2 = merge(np.matmul(weights, v))
+    data = T._affine(ctx2, proj_o[0], p.bo.data).reshape(batch, t_q, d)
+    s_q, s_kv = q_in.slot, kv_in.slot
+
+    def backward(g):
+        dctx = split(T._affine_backward(ctx2, *proj_o, g.reshape(-1, d), True), t_q)
+        dv = np.matmul(weights.transpose(0, 1, 3, 2), dctx).astype(v.dtype, copy=False)
+        dweights = np.matmul(dctx, v.transpose(0, 1, 3, 2))
+        dscores = T._softmax_backward(weights, dweights).astype(scores_dtype, copy=False)
+        dscores = (dscores * s).astype(scores_dtype, copy=False)
+        dq = np.matmul(dscores, k).astype(q.dtype, copy=False)
+        dk = np.matmul(dscores.transpose(0, 1, 3, 2), q).astype(k.dtype, copy=False)
+        need_q, need_kv = s_q is not None, s_kv is not None
+        dv_in = T._affine_backward(kv2, *proj_v, merge(dv), need_kv)
+        dk_in = T._affine_backward(kv2, *proj_k, merge(dk), need_kv)
+        dq_in = T._affine_backward(q2, *proj_q, merge(dq), need_q)
+        if need_kv:
+            T._accumulate(s_kv, dv_in.reshape(s_kv.shape))
+            T._accumulate(s_kv, dk_in.reshape(s_kv.shape))
+        if need_q:
+            T._accumulate(s_q, dq_in.reshape(s_q.shape))
+
+    inputs = (q_in, kv_in, p.wq, p.bq, p.wk, p.bk, p.wv, p.bv, p.wo, p.bo)
+    return T._result(data, inputs, backward)
+
+
+# (cross, causal mask, parameter dtype, query dtype, key/value dtype)
+RECOMPUTE_CASES = {
+    "encoder_self_f32": (False, False, np.float32, np.float32, np.float32),
+    "decoder_layer1_self_f32_tokens_f64_mask": (False, True, np.float32, np.float32,
+                                                np.float32),
+    "decoder_self_f64_activations": (False, True, np.float32, np.float64, np.float64),
+    "decoder_cross_f64_query_f32_memory": (True, False, np.float32, np.float64, np.float32),
+    "cross_f32": (True, False, np.float32, np.float32, np.float32),
+    "self_f64": (False, False, np.float64, np.float64, np.float64),
+    "self_masked_f64": (False, True, np.float64, np.float64, np.float64),
+    "cross_f64": (True, False, np.float64, np.float64, np.float64),
+}
+
+
+class TestAttentionRecompute:
+    @pytest.mark.parametrize("case", RECOMPUTE_CASES.values(), ids=RECOMPUTE_CASES.keys())
+    def test_value_and_gradients_are_bitwise_those_of_the_storing_op(self, case):
+        """Backward rebuilds q, k, v and the context from the saved inputs
+        with the forward's own calls, so nothing moves by a bit, whatever
+        the mix of float32 and float64 (the float64 causal mask widens the
+        decoder's activations)."""
+        cross, masked, p_dtype, q_dtype, kv_dtype = case
+        rng = np.random.default_rng(27)
+        batch, d, heads, t_q = 6, 16, 4, 5
+        t_kv = 3 if cross else t_q
+        p_data = attention_params(rng, d)
+        q_data = rng.standard_normal((batch, t_q, d))
+        kv_data = rng.standard_normal((batch, t_kv, d))
+        probe = Tensor(rng.standard_normal((batch, t_q, d)), dtype=np.float64)
+        mask = causal_mask(t_q) if masked else None
+        results = []
+        for fn in (storing_attention, T.attention):
+            p = SimpleNamespace(**{n: Tensor(t.data, requires_grad=True, dtype=p_dtype)
+                                   for n, t in vars(p_data).items()})
+            q_in = Tensor(q_data, requires_grad=True, dtype=q_dtype)
+            kv_in = Tensor(kv_data, requires_grad=True, dtype=kv_dtype) if cross else q_in
+            out = fn(p, q_in, kv_in, heads, mask)
+            T.backward(T.tsum(T.mul(out, probe)))
+            leaves = [q_in] + ([kv_in] if cross else []) + list(vars(p).values())
+            results.append([out.data] + [leaf.grad for leaf in leaves])
+        for want, got in zip(*results):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
+class TestFeedForward:
+    def test_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(29)
+        p = FeedForwardParams.create(4, 6, float64_factory(rng))
+        p.b1.data[:] = rng.standard_normal(6) / 4  # the factory's zeros, made nonzero
+        x = f64_tensor(rng, (2, 3, 4))
+        probe = Tensor(rng.standard_normal((2, 3, 4)), dtype=np.float64)
+        leaves = [x, p.w1, p.b1, p.w2, p.b2]
+        # no pre-activation within a finite-difference step of relu's kink
+        assert np.abs(x.data @ p.w1.data + p.b1.data).min() > 0.02
+
+        def loss():
+            return float((T.feed_forward(x, *leaves[1:]).data * probe.data).sum())
+
+        numeric = central_diff(loss, leaves)
+        T.backward(T.tsum(T.mul(T.feed_forward(x, *leaves[1:]), probe)))
+        for leaf, num in zip(leaves, numeric):
+            assert_grads_close(leaf.grad, num)
+
+    @pytest.mark.parametrize("x_dtype, dtype1, dtype2", [
+        (np.float32, np.float32, np.float32), (np.float64, np.float32, np.float32),
+        (np.float64, np.float64, np.float64), (np.float32, np.float32, np.float64)])
+    def test_value_and_gradients_are_bitwise_those_of_linear_relu_linear(self, x_dtype,
+                                                                         dtype1, dtype2):
+        """As in the model: x also feeds a residual layer_norm, so x's
+        gradient is a fan-out sum, and the fused op adds its part at the
+        chain's place in the tape order. In the decoder, float64 activations
+        meet float32 weights; a float64 second layer over a float32 hidden
+        layer checks that the hidden gradient is rounded to float32 first."""
+        rng = np.random.default_rng(30)
+        shape, d_ff = (40, 3, 16), 32
+        x_data = rng.standard_normal(shape)
+        p_data = [rng.standard_normal(s) / 4 for s in ((16, d_ff), (d_ff,), (d_ff, 16), (16,))]
+        probe = Tensor(rng.standard_normal(shape), dtype=np.float64)
+        results = []
+        for fused in (False, True):
+            x = Tensor(x_data, requires_grad=True, dtype=x_dtype)
+            w1, b1, w2, b2 = [Tensor(a, requires_grad=True, dtype=dtype)
+                              for a, dtype in zip(p_data, (dtype1, dtype1, dtype2, dtype2))]
+            gain = Tensor(np.ones(16), requires_grad=True)
+            bias = Tensor(np.zeros(16), requires_grad=True)
+            f = (T.feed_forward(x, w1, b1, w2, b2) if fused
+                 else T.linear(T.relu(T.linear(x, w1, b1)), w2, b2))
+            assert len(T.tape()) == (1 if fused else 3)
+            out = T.layer_norm(x, gain, bias, residual=f)
+            T.backward(T.tsum(T.mul(out, probe)))
+            results.append((f.data, x.grad, w1.grad, b1.grad, w2.grad, b2.grad,
+                            gain.grad, bias.grad))
+        for want, got in zip(*results):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_bad_shapes_are_errors(self):
+        x, w1, b1 = Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 5))), Tensor(np.zeros(5))
+        with pytest.raises(ShapeError, match=r"\(2, 4\) x \(3, 5\)"):
+            T.feed_forward(Tensor(np.zeros((2, 4))), w1, b1, Tensor(np.zeros((5, 3))),
+                           Tensor(np.zeros(3)))
+        with pytest.raises(ShapeError):
+            T.feed_forward(x, w1, b1, Tensor(np.zeros((4, 3))), Tensor(np.zeros(3)))
+        with pytest.raises(ShapeError):
+            T.feed_forward(x, w1, b1, Tensor(np.zeros((5, 3))), Tensor(np.zeros(4)))
 
 
 class TestSoftmax:
