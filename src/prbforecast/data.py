@@ -52,28 +52,26 @@ def residual_ratio(n_total: int, n_used: float) -> float:
     return (n_total - n_used) / n_total
 
 
-# `fromisoformat` skips any one character before a UTC designator or offset
-STRAY_BEFORE_ZONE = re.compile(r"[^0-9](?:Z|[+-][0-9:.,]+)\Z")
-# ... and takes any one character between the date and the time
-DATE_THEN_SEPARATOR = re.compile(
-    r"[0-9]{4}-?(?:[0-9]{2}-?[0-9]{2}|W[0-9]{2}(?:-?[0-9])?)(?:[T ]|\Z)")
+# YYYY-MM-DD[(T| )hh[:mm[:ss[.fff|.ffffff]]][Z|±hh:mm[:ss[.ffffff]]]], which
+# `fromisoformat` reads alike on every Python from 3.10; outside it, 3.11+
+# read more forms and every version misreads some (`2024-01-01T008Z` as 00:00)
+TIMESTAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}(?:[T ][0-9]{2}(?::[0-9]{2}(?::[0-9]{2}"
+                       r"(?:\.[0-9]{3}(?:[0-9]{3})?)?)?)?"
+                       r"(?:Z|[+-][0-9]{2}:[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{6})?)?)?)?")
 
 
 def parse_timestamp(text: str) -> np.datetime64:
-    """The instant of ISO-8601 `text` (UTC unless it names an offset) as
-    datetime64[m]; it must lie on the 15-minute grid."""
-    if STRAY_BEFORE_ZONE.search(text):
-        raise IngestionError(f"malformed timestamp {text!r}: no digit before the UTC offset")
+    """The instant of `text` in the `TIMESTAMP` form (UTC unless it names an
+    offset) as datetime64[m]; it must lie on the 15-minute grid."""
     try:
+        if not TIMESTAMP.fullmatch(text):
+            raise ValueError("not YYYY-MM-DD[Thh:mm[:ss]][Z|±hh:mm]")
         ts = datetime.fromisoformat(text.replace("Z", "+00:00"))
         if ts.tzinfo is None:
             ts = ts.replace(tzinfo=timezone.utc)
         ts = ts.astimezone(timezone.utc)
     except (ValueError, OverflowError) as e:
         raise IngestionError(f"malformed timestamp {text!r}: {e}") from None
-    if not DATE_THEN_SEPARATOR.match(text):
-        raise IngestionError(f"malformed timestamp {text!r}: "
-                             "date and time not separated by 'T' or a space")
     if ts.minute % 15 != 0 or ts.second != 0 or ts.microsecond != 0:
         raise IngestionError(f"timestamp {text!r} not on the 15-minute grid")
     return to_datetime64(ts)
