@@ -12,6 +12,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 
 from . import metrics as M
 from . import synth
@@ -51,7 +52,7 @@ class RunConfig:
         self.split = read_settings("split", DEFAULT_SPLIT, top["split"])
         self.seed = top["seed"]
         if "seed" in doc:
-            self.train.seed = self.seed
+            self.train = replace(self.train, seed=self.seed)
 
     @classmethod
     def load(cls, path: str | None) -> "RunConfig":

@@ -43,15 +43,6 @@ class IngestionError(ValueError):
     pass
 
 
-def residual_ratio(n_total: int, n_used: float) -> float:
-    """Fraction of a carrier's PRBs left unused in one interval."""
-    if n_total <= 0:
-        raise ValueError(f"total PRB count must be positive, got {n_total}")
-    if n_used < 0 or n_used > n_total:
-        raise ValueError(f"used PRBs {n_used} outside [0, {n_total}]")
-    return (n_total - n_used) / n_total
-
-
 # YYYY-MM-DD[(T| )hh[:mm[:ss[.fff|.ffffff]]][Z|±hh:mm[:ss[.ffffff]]]], which
 # `fromisoformat` reads alike on every Python from 3.10; outside it, 3.11+
 # read more forms and every version misreads some (`2024-01-01T008Z` as 00:00)

@@ -27,7 +27,7 @@ QUANTILES = (0.1, 0.5, 0.9)
 MAX_PARAMS = 10 ** 8  # 400 MB of float32 weights, before gradients and Adam moments
 
 
-@dataclass
+@dataclass(frozen=True)
 class Hyperparams:
     d_emb: int = 64
     n_enc_layers: int = 2
@@ -39,7 +39,7 @@ class Hyperparams:
     n_future: int = 2
     quantiles: ClassVar[tuple] = QUANTILES  # fixed head layout, not a setting
 
-    def validate(self):
+    def __post_init__(self):
         for name in ("d_emb", "n_enc_layers", "n_dec_layers", "heads", "d_ff",
                      "n_past", "n_future"):
             if getattr(self, name) < 1:
@@ -64,7 +64,6 @@ class Hyperparams:
             raise ValueError(f"config key 'hyperparams.quantiles' is fixed at "
                              f"{list(QUANTILES)}, got {quantiles!r}")
         hp = cls(**d)
-        hp.validate()
         count = param_count(hp)  # counted, not drawn
         if count > MAX_PARAMS:
             raise ValueError(f"out of memory: hyperparams make a model of {count} "
@@ -226,7 +225,6 @@ class ForecastModel:
     `T.get_rng()`; a checkpoint load passes one that slices the payload."""
 
     def __init__(self, hp: Hyperparams, new=None):
-        hp.validate()
         self.hp = hp
         new = new if new is not None else drawing_factory(T.get_rng())
         self.embed = EmbeddingTables.create(hp.d_emb, hp.n_past, hp.n_future, new)

@@ -24,7 +24,7 @@ MEAN_BURST_STEPS = 8
 PRB_CLASSES = (50, 75, 100)  # 10/15/20 MHz bandwidth classes
 
 
-@dataclass
+@dataclass(frozen=True)
 class CarrierProfile:
     carrier_id: int
     n_prb_total: int
@@ -36,7 +36,7 @@ class CarrierProfile:
     burst_depth: float
     noise_sigma: float
 
-    def validate(self):
+    def __post_init__(self):
         if not 0 <= self.carrier_id < N_CARRIERS:
             raise ValueError(f"carrier_id {self.carrier_id} outside 0..{N_CARRIERS - 1}")
         if self.n_prb_total <= 0:
@@ -61,22 +61,17 @@ def default_profiles(n_carriers: int = N_CARRIERS, seed: int = 0) -> list[Carrie
     if not 1 <= n_carriers <= N_CARRIERS:
         raise ValueError(f"n_carriers must be in 1..{N_CARRIERS}, got {n_carriers}")
     rng = np.random.default_rng(seed)
-    profiles = []
-    for cid in range(n_carriers):
-        profiles.append(CarrierProfile(
-            carrier_id=cid,
-            n_prb_total=PRB_CLASSES[cid % len(PRB_CLASSES)],
-            base_load=float(rng.uniform(0.25, 0.50)),
-            diurnal_amplitude=float(rng.uniform(0.20, 0.32)),
-            phase_hours=float((cid * 1.7 + rng.uniform(0, 2)) % 24),
-            weekend_attenuation=float(rng.uniform(0.6, 0.9)),
-            burst_probability=float(rng.uniform(0.002, 0.008)),
-            burst_depth=float(rng.uniform(0.15, 0.35)),
-            noise_sigma=float(rng.uniform(0.015, 0.035)),
-        ))
-    for p in profiles:
-        p.validate()
-    return profiles
+    return [CarrierProfile(
+        carrier_id=cid,
+        n_prb_total=PRB_CLASSES[cid % len(PRB_CLASSES)],
+        base_load=float(rng.uniform(0.25, 0.50)),
+        diurnal_amplitude=float(rng.uniform(0.20, 0.32)),
+        phase_hours=float((cid * 1.7 + rng.uniform(0, 2)) % 24),
+        weekend_attenuation=float(rng.uniform(0.6, 0.9)),
+        burst_probability=float(rng.uniform(0.002, 0.008)),
+        burst_depth=float(rng.uniform(0.15, 0.35)),
+        noise_sigma=float(rng.uniform(0.015, 0.035)),
+    ) for cid in range(n_carriers)]
 
 
 def diurnal_load(profile: CarrierProfile, ts: datetime) -> float:
@@ -145,8 +140,6 @@ def generate(profiles: list[CarrierProfile], start: datetime = DEFAULT_START,
         raise ValueError("n_days must be >= 1")
     if start.minute % 15 != 0 or start.second != 0:
         raise ValueError(f"start {start} not aligned to the 15-minute grid")
-    for p in profiles:
-        p.validate()
     n_steps = n_days * STEPS_PER_DAY
     return [_generate_one(p, start, n_steps, seed)
             for p in sorted(profiles, key=lambda p: p.carrier_id)]

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import Normalizer, atomic_open, batch_samples
-from .model import QUANTILES, ForecastModel, Hyperparams, read_settings
+from .model import QUANTILES, ForecastModel, Hyperparams, param_count, read_settings
 from .tensor import Tensor
 
 log = logging.getLogger(__name__)
@@ -39,7 +39,7 @@ class CheckpointError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 200
     batch_size: int = 400
@@ -52,7 +52,7 @@ class TrainConfig:
     beta: float = 1.2
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         for name in ("epochs", "batch_size", "lr", "clip_norm", "patience",
                      "alpha", "beta"):
             if not 0 < getattr(self, name) < np.inf:
@@ -67,9 +67,7 @@ class TrainConfig:
     def from_dict(cls, doc) -> "TrainConfig":
         """Validated training configuration from the `train` JSON object of
         a config file or a checkpoint header; absent keys take the defaults."""
-        cfg = cls(**read_settings("train", cls().to_dict(), doc))
-        cfg.validate()
-        return cfg
+        return cls(**read_settings("train", cls().to_dict(), doc))
 
 
 # -- loss -----------------------------------------------------------------
@@ -186,7 +184,6 @@ def train(train_samples: np.ndarray, val_samples: np.ndarray,
     per-epoch history). Fully determined by (samples, hp, cfg)."""
     if len(train_samples) == 0 or len(val_samples) == 0:
         raise ValueError("training and validation splits must be nonempty")
-    cfg.validate()
     T.seed_all(cfg.seed)
     model = ForecastModel(hp)
     params = model.params()
@@ -312,15 +309,13 @@ def load_checkpoint(path: str) -> tuple[ForecastModel, TrainConfig, Normalizer]:
 
 
 def _payload_factory(values: np.ndarray):
-    """A tensor factory (as `model.drawing_factory`) whose tensors are consecutive
-    slices of `values`; one that would run past the end raises ValueError."""
+    """A tensor factory (as `model.drawing_factory`) whose tensors are
+    consecutive slices of `values`."""
     at = 0
 
     def new(shape, fan_in=None, fill=0.0):
         nonlocal at
         start, at = at, at + math.prod(shape)
-        if at > len(values):
-            raise ValueError(f"hyperparams need more than the {len(values)} payload values")
         return Tensor(values[start:at].reshape(shape), requires_grad=True)
 
     return new
@@ -335,11 +330,11 @@ def _restore(header: dict, payload: bytes, path: str):
     hp = Hyperparams.from_dict(header["hyperparams"])
     cfg = TrainConfig.from_dict(header["train_config"])
     normalizer = Normalizer.from_dict(header["normalizer"])
+    count = param_count(hp)
+    if len(payload) != 4 * count:
+        raise ValueError(f"hyperparams need {4 * count} payload bytes, found {len(payload)}")
     values = np.frombuffer(payload, dtype="<f4").astype(np.float32)
     model = ForecastModel(hp, _payload_factory(values))
-    used = sum(p.data.size for p in model.params())
-    if used != len(values):
-        raise ValueError(f"hyperparams need {used} payload values, found {len(values)}")
     if header["manifest"] != _manifest(model):
         raise ValueError("manifest differs from the tensor layout of the hyperparams")
     return model, cfg, normalizer

@@ -72,10 +72,20 @@ def edit_header(blob: bytes, edit) -> bytes:
     return blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + n:]
 
 
-def append_float(blob: bytes) -> bytes:
-    """Checkpoint bytes with one more f32 at the end of the payload and the
+def edit_payload(blob: bytes, edit) -> bytes:
+    """Checkpoint bytes with the payload `p` replaced by `edit(p)` and the
     header's `payload_crc32` rewritten to match."""
     n = struct.unpack("<I", blob[8:12])[0]
-    payload = blob[12 + n:] + struct.pack("<f", 0.5)
+    payload = edit(blob[12 + n:])
     crc = zlib.crc32(payload)
     return edit_header(blob[:12 + n], lambda h: {**h, "payload_crc32": crc}) + payload
+
+
+def append_float(blob: bytes) -> bytes:
+    """Checkpoint bytes with one more f32 at the end of the payload."""
+    return edit_payload(blob, lambda p: p + struct.pack("<f", 0.5))
+
+
+def drop_float(blob: bytes) -> bytes:
+    """Checkpoint bytes with the last f32 of the payload removed."""
+    return edit_payload(blob, lambda p: p[:-4])

@@ -14,8 +14,8 @@ from prbforecast import data as D
 from prbforecast.cli import main
 from prbforecast.data import (STEP, IngestionError, KpiSeries, Normalizer,
                               batch_samples, calendar_meta, chronological_split,
-                              load_csv, make_samples, residual_ratio,
-                              sample_dtype, save_csv, to_datetime64)
+                              load_csv, make_samples, sample_dtype, save_csv,
+                              to_datetime64)
 
 UTC = timezone.utc
 
@@ -40,23 +40,6 @@ def meta_of(ts, carrier_id):
 def calendar_oracle(ts, carrier_id):
     """The calendar row of one aware UTC datetime, from `datetime` fields."""
     return ts.month - 1, ts.weekday(), ts.hour, ts.minute // 15, carrier_id
-
-
-class TestResidualRatio:
-    def test_quarter_used(self):
-        assert residual_ratio(100, 25) == 0.75
-
-    def test_idle_carrier(self):
-        assert residual_ratio(100, 0) == 1.0
-
-    def test_full_load(self):
-        assert residual_ratio(100, 100) == 0.0
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            residual_ratio(0, 0)
-        with pytest.raises(ValueError):
-            residual_ratio(100, 101)
 
 
 class TestCalendarIndices:

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from prbforecast import synth
-from prbforecast.data import (N_FEATURES, STEP, KpiSeries, load_csv, residual_ratio,
-                              save_csv, to_datetime64)
+from prbforecast.data import N_FEATURES, STEP, KpiSeries, load_csv, save_csv, to_datetime64
 from prbforecast.synth import (MEAN_BURST_STEPS, CarrierProfile, default_profiles,
                                diurnal_load, generate)
 
@@ -41,7 +40,7 @@ class TestProfiles:
 
     def test_invariant_violation_rejected(self):
         with pytest.raises(ValueError):
-            flat_profile(base_load=0.8, diurnal_amplitude=0.4).validate()
+            flat_profile(base_load=0.8, diurnal_amplitude=0.4)
 
 
 class TestGenerate:
@@ -129,7 +128,7 @@ def reference_generate_one(profile: CarrierProfile, start: datetime, n_steps: in
         load = min(max(load, 0.0), 1.0)
 
         n_used = round(load * profile.n_prb_total)
-        residual = residual_ratio(profile.n_prb_total, n_used)
+        residual = (profile.n_prb_total - n_used) / profile.n_prb_total
         ue_noise = rng.normal(0.0, 1.0)
         ue_avg = max(40.0 * load * (1.0 + 0.1 * ue_noise), 0.0)
         ue_max = math.ceil(1.5 * ue_avg)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import logging
 import re
@@ -8,13 +9,14 @@ import pytest
 from prbforecast import tensor as T
 from prbforecast.data import N_CARRIERS, STEP, Normalizer, sample_dtype
 from prbforecast.model import QUANTILES, ForecastModel, Hyperparams
+from prbforecast.synth import default_profiles
 from prbforecast.tensor import Tensor
 from prbforecast.training import (AdamState, CheckpointError, TrainConfig,
                                   TrainingError, adam_step, checkpoint_bytes,
                                   clip_gradients, load_checkpoint,
                                   save_checkpoint, total_loss, train)
 
-from conftest import append_float, central_diff, edit_header
+from conftest import append_float, central_diff, drop_float, edit_header
 
 TINY = Hyperparams(d_emb=4, n_enc_layers=1, n_dec_layers=1, heads=2, d_ff=8,
                    n_past=2, n_future=2)
@@ -322,6 +324,18 @@ class TestTrainLoop:
         assert len(T.tape()) == 0
 
 
+@pytest.mark.parametrize("value, field, bad", [
+    (TINY, "heads", 3),
+    (TrainConfig(), "lr", -1.0),
+    (default_profiles(1)[0], "base_load", 0.9),
+], ids=["Hyperparams", "TrainConfig", "CarrierProfile"])
+def test_settings_are_checked_when_made_and_never_change(value, field, bad):
+    with pytest.raises(ValueError):
+        dataclasses.replace(value, **{field: bad})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, field, getattr(value, field))
+
+
 class TestCheckpoint:
     def _trained(self):
         cfg = TrainConfig(epochs=2, batch_size=8, lr=1e-3, seed=11)
@@ -435,17 +449,19 @@ class TestCheckpoint:
                    + h["manifest"][4:]},
         lambda h: {**h, "normalizer": None},
         lambda h: {**h, "hyperparams": {**h["hyperparams"], "n_enc_layers": 10 ** 9}},
+        lambda h: {**h, "hyperparams": {**h["hyperparams"], "d_ff": 16}},
         append_float,  # edits the whole file, not only the header
+        drop_float,  # the same
     ], ids=["no_manifest", "list", "str_d_emb", "bad_heads", "unknown_hp",
             "negative_lr", "empty_entry", "other_quantiles", "nan_mins",
             "short_mins", "nan_lr", "float_heads", "bool_heads", "zero_heads",
             "bool_n_enc_layers", "huge_d_ff", "float_epochs", "str_seed",
             "renamed_entry", "transposed_shape", "swapped_entries", "null_normalizer",
-            "billion_enc_layers", "one_float_over"])
+            "billion_enc_layers", "wider_d_ff", "one_float_over", "one_float_short"])
     def test_malformed_header_rejected(self, tmp_path, edit):
         path = tmp_path / "model.ckpt"
         blob = checkpoint_bytes(*self._trained())
-        path.write_bytes(append_float(blob) if edit is append_float
+        path.write_bytes(edit(blob) if edit in (append_float, drop_float)
                          else edit_header(blob, edit))
         with pytest.raises(CheckpointError, match="malformed header"):
             load_checkpoint(str(path))
