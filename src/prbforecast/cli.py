@@ -21,8 +21,8 @@ from .data import (STEP, Normalizer, chronological_split, format_instants, load_
 from .model import Hyperparams, read_settings
 from .rollout import forecast_to_csv, rollout, window_from_records
 from .synth import STEPS_PER_DAY
-from .training import (TrainConfig, TrainingError, load_checkpoint, save_checkpoint,
-                       train, write_history)
+from .tensor import NumericalError
+from .training import TrainConfig, load_checkpoint, save_checkpoint, train, write_history
 
 log = logging.getLogger("prbforecast")
 
@@ -205,25 +205,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("PRBFORECAST_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
+        level = (os.environ.get("PRBFORECAST_LOG") or "WARNING").upper()
+        if not isinstance(logging.getLevelName(level), int):  # a name maps to its number
+            raise UsageError(f"PRBFORECAST_LOG: unknown logging level {level!r}")
+        logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
         return args.func(args)
+    except NumericalError as e:  # NaN or infinity: a diverged run (TrainingError) or softmax
+        print(f"numerical failure: {e}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except ValueError as e:  # usage, ingestion and checkpoint errors subclass it
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as e:  # a requested size beyond memory
         print(f"error: out of memory: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except TrainingError as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except OSError as e:
         print(f"I/O error: {e}", file=sys.stderr)
         return EXIT_IO

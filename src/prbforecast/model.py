@@ -7,6 +7,11 @@ decoder position to 8 deterministic KPI values plus 3 residual-PRB
 quantiles (q = 0.1, 0.5, 0.9). At inference the quantiles are sorted
 ascending and clipped to [0,1]; the training loss sees the raw head outputs
 so each pinball term keeps its own gradient.
+
+Tokens are a learned linear projection of the 9 continuous KPI features,
+summed with positional, month, weekday, hour, minute-slot, and carrier
+lookup tables. Encoder and decoder keep separate positional tables (window
+semantics differ); the projection is shared between the two sides.
 """
 
 from __future__ import annotations
@@ -19,12 +24,14 @@ from typing import ClassVar
 import numpy as np
 
 from . import tensor as T
-from .data import N_DET_FEATURES, N_FEATURES
-from .embedding import EmbeddingTables, embed_tokens
+from .data import N_CARRIERS, N_DET_FEATURES, N_FEATURES
 from .tensor import Tensor
 
 QUANTILES = (0.1, 0.5, 0.9)
 MAX_PARAMS = 10 ** 8  # 400 MB of float32 weights, before gradients and Adam moments
+TABLE_ROWS = {"month": 12, "weekday": 7, "hour": 24, "minute": 4, "carrier": N_CARRIERS}
+META_ORDER = ("month", "weekday", "hour", "minute", "carrier")
+META_ROWS = np.array([TABLE_ROWS[name] for name in META_ORDER], dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -124,6 +131,30 @@ def named_tensors(node, prefix: str) -> list[tuple[str, Tensor]]:
 
 
 @dataclass
+class EmbeddingTables:
+    w_proj: Tensor   # (9, d_emb)
+    b_proj: Tensor   # (d_emb,)
+    enc_pos: Tensor  # (N, d_emb)
+    dec_pos: Tensor  # (M, d_emb)
+    month: Tensor    # (12, d_emb)
+    weekday: Tensor  # (7, d_emb)
+    hour: Tensor     # (24, d_emb)
+    minute: Tensor   # (4, d_emb)
+    carrier: Tensor  # (21, d_emb)
+
+    @classmethod
+    def create(cls, d_emb: int, n_past: int, n_future: int, new) -> "EmbeddingTables":
+        """The tables from the tensor factory `new` (`drawing_factory`)."""
+        return cls(
+            w_proj=new((N_FEATURES, d_emb), N_FEATURES),
+            b_proj=new((d_emb,)),
+            enc_pos=new((n_past, d_emb), d_emb),
+            dec_pos=new((n_future, d_emb), d_emb),
+            **{name: new((rows, d_emb), d_emb) for name, rows in TABLE_ROWS.items()},
+        )
+
+
+@dataclass
 class LayerNormParams:
     gain: Tensor
     bias: Tensor
@@ -208,14 +239,63 @@ def causal_mask(steps: int) -> np.ndarray:
     return mask
 
 
-def _attention(params: AttentionParams, q_in: Tensor, kv_in: Tensor, heads: int,
-               mask: np.ndarray | None, dropout_rate: float) -> Tensor:
-    return T.dropout(T.attention(params, q_in, kv_in, heads, mask), dropout_rate)
+def embed_tokens(tables: EmbeddingTables, features: np.ndarray, meta: np.ndarray,
+                 pos_table: Tensor, dropout_rate: float = 0.0) -> Tensor:
+    """Build (B, T, d_emb) tokens from (B, T, 9) features and (B, T, 5) meta
+    over `pos_table`, `tables.enc_pos` (T = N) or `tables.dec_pos` (T = M),
+    with dropout at `dropout_rate` after the embedding sum."""
+    batch, steps, n_feat = features.shape
+    if n_feat != N_FEATURES:
+        raise T.ShapeError(f"expected {N_FEATURES} features, got {n_feat}")
+    if steps != pos_table.shape[0]:
+        raise T.ShapeError(
+            f"window of {steps} steps does not match positional table "
+            f"of length {pos_table.shape[0]}")
+    if meta.shape != (batch, steps, len(META_ORDER)):
+        raise T.ShapeError(f"meta shape {meta.shape} does not match features")
+    x = Tensor(features, dtype=tables.w_proj.data.dtype)
+    out = embedding_sum(T.linear(x, tables.w_proj, tables.b_proj), pos_table, tables, meta)
+    return T.dropout(out, dropout_rate)
 
 
-def _feed_forward(params: FeedForwardParams, x: Tensor, dropout_rate: float) -> Tensor:
-    f = T.feed_forward(x, params.w1, params.b1, params.w2, params.b2)
-    return T.dropout(f, dropout_rate)
+def embedding_sum(proj: Tensor, pos_table: Tensor, tables: EmbeddingTables,
+                  meta: np.ndarray) -> Tensor:
+    """(B, T, d) `proj` plus each step's `pos_table` row, then the month,
+    weekday, hour, minute and carrier rows that (B, T, 5) `meta` names, added
+    in that order as one tape op. `proj` and the tables share one dtype. Value
+    and gradients are bit-identical to the chain of `add` and `embedding_lookup`
+    ops; each table gets the same one-hot GEMM gradient. An index outside its
+    table raises IndexError naming the first such table."""
+    meta = np.asarray(meta, dtype=np.int64)
+    # Viewed as uint64 a negative index wraps above every table size, so one
+    # compare checks both bounds.
+    bad = meta.view(np.uint64) >= META_ROWS
+    if bad.any():
+        i = int(np.argmax(bad.reshape(-1, len(META_ORDER)).any(axis=0)))
+        col, name = meta[..., i], META_ORDER[i]
+        raise IndexError(f"{name} index out of range: "
+                         f"[{col.min()}, {col.max()}] vs {TABLE_ROWS[name]} rows")
+    lookups = [(pos_table, np.arange(proj.shape[1]))]
+    lookups += [(getattr(tables, name), meta[..., i]) for i, name in enumerate(META_ORDER)]
+    out = proj.data
+    for table, idx in lookups:
+        out = out + table.data[idx]
+    table_grads = [(table.slot, idx) for table, idx in lookups if table.slot is not None]
+    proj_slot = proj.slot
+
+    def backward(g):
+        for slot, idx in table_grads:
+            flat = np.broadcast_to(idx, g.shape[:-1]).reshape(-1)
+            one_hot = (flat[:, None] == np.arange(slot.shape[0])).astype(g.dtype)
+            T._accumulate(slot, one_hot.T @ g.reshape(-1, g.shape[-1]))
+        T._accumulate(proj_slot, g)
+
+    return T._result(out, (proj, *(table for table, _ in lookups)), backward)
+
+
+def _add_norm(x: Tensor, out: Tensor, norm: LayerNormParams, dropout_rate: float) -> Tensor:
+    """LayerNorm(x + Dropout(out)): the post-norm residual around sublayer output `out`."""
+    return T.layer_norm(x, norm.gain, norm.bias, residual=T.dropout(out, dropout_rate))
 
 
 class ForecastModel:
@@ -248,27 +328,23 @@ class ForecastModel:
 
     # -- forward passes ----------------------------------------------------
 
-    def encode(self, tokens: Tensor, dropout_rate: float = 0.0) -> Tensor:
-        x = tokens
+    def encode(self, tokens: Tensor, rate: float = 0.0) -> Tensor:
+        x, heads = tokens, self.hp.heads
         for layer in self.enc_layers:
-            a = _attention(layer.attn, x, x, self.hp.heads, None, dropout_rate)
-            x = T.layer_norm(x, layer.ln1.gain, layer.ln1.bias, residual=a)
-            f = _feed_forward(layer.ff, x, dropout_rate)
-            x = T.layer_norm(x, layer.ln2.gain, layer.ln2.bias, residual=f)
+            x = _add_norm(x, T.attention(layer.attn, x, x, heads, None), layer.ln1, rate)
+            f = layer.ff
+            x = _add_norm(x, T.feed_forward(x, f.w1, f.b1, f.w2, f.b2), layer.ln2, rate)
         return x
 
-    def decode(self, z: Tensor, dec_tokens: Tensor,
-               dropout_rate: float = 0.0) -> tuple[Tensor, Tensor]:
+    def decode(self, z: Tensor, dec_tokens: Tensor, rate: float = 0.0) -> tuple[Tensor, Tensor]:
         """Raw (det, quantile) head outputs: the operands of `total_loss`."""
         mask = causal_mask(dec_tokens.shape[1])
-        x = dec_tokens
+        x, heads = dec_tokens, self.hp.heads
         for layer in self.dec_layers:
-            a = _attention(layer.self_attn, x, x, self.hp.heads, mask, dropout_rate)
-            x = T.layer_norm(x, layer.ln1.gain, layer.ln1.bias, residual=a)
-            c = _attention(layer.cross_attn, x, z, self.hp.heads, None, dropout_rate)
-            x = T.layer_norm(x, layer.ln2.gain, layer.ln2.bias, residual=c)
-            f = _feed_forward(layer.ff, x, dropout_rate)
-            x = T.layer_norm(x, layer.ln3.gain, layer.ln3.bias, residual=f)
+            x = _add_norm(x, T.attention(layer.self_attn, x, x, heads, mask), layer.ln1, rate)
+            x = _add_norm(x, T.attention(layer.cross_attn, x, z, heads, None), layer.ln2, rate)
+            f = layer.ff
+            x = _add_norm(x, T.feed_forward(x, f.w1, f.b1, f.w2, f.b2), layer.ln3, rate)
         out = T.linear(x, self.w_head, self.b_head)
         return (T.slice_lastdim(out, 0, N_DET_FEATURES),
                 T.slice_lastdim(out, N_DET_FEATURES, out.shape[-1]))

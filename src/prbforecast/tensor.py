@@ -32,6 +32,10 @@ class AutodiffError(RuntimeError):
     pass
 
 
+class NumericalError(ValueError):
+    """A NaN or infinity where the arithmetic needs finite values."""
+
+
 # Single run-level RNG: dropout and parameter init both draw from it, so a
 # run is fully determined by (data, config, seed).
 _rng = np.random.default_rng(0)
@@ -421,7 +425,7 @@ def softmax_lastdim(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
 
     `mask` is an optional additive array (0 for visible, -inf for masked),
     broadcastable to `a.shape`. An all-masked row is a precondition violation
-    and raises ValueError; so does a NaN or +inf score, with its own message.
+    and raises ValueError; a NaN or +inf score raises NumericalError.
     """
     if a.shape[-1] < 1:
         raise ShapeError("softmax needs a nonempty last dimension")
@@ -443,7 +447,7 @@ def _softmax(x: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
         # of the row is -inf; NaN or +inf is a numerical fault upstream.
         if np.isneginf(m[~np.isfinite(m)]).all():
             raise ValueError("softmax row is fully masked")
-        raise ValueError("softmax got non-finite scores (NaN or +inf)")
+        raise NumericalError("softmax got non-finite scores (NaN or +inf)")
     e = np.exp(x - m)
     return e / e.sum(axis=-1, keepdims=True)
 

@@ -31,7 +31,7 @@ CHECKPOINT_MAGIC = b"RUPF"
 CHECKPOINT_VERSION = 1
 
 
-class TrainingError(RuntimeError):
+class TrainingError(T.NumericalError):
     """Numerical failure (NaN loss/gradients) during training."""
 
 

@@ -13,7 +13,7 @@ import pytest
 from prbforecast import tensor as T
 from prbforecast.data import (Normalizer, chronological_split, make_samples,
                               to_datetime64)
-from prbforecast.embedding import embed_tokens
+from prbforecast.model import embed_tokens
 from prbforecast.metrics import (anchor_positions, evaluate, hit_probability,
                                  mae)
 from prbforecast.model import QUANTILES, ForecastModel, Hyperparams, param_count

@@ -229,6 +229,18 @@ class TestTrain:
                      "--out", str(tmp_path / "m.rupf")]) == 3
 
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_diverging_run_is_numerical_failure(self, workspace, tmp_path, capsys):
+        config = tmp_path / "diverge.json"
+        config.write_text(json.dumps({**TINY_CONFIG,
+                                      "train": {**TINY_CONFIG["train"], "lr": 1e6}}))
+        out = tmp_path / "model.rupf"
+        assert main(["train", "--data", str(workspace["data"]), "--config", str(config),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("numerical failure:")
+        assert not out.exists()
+
+
 class TestForecast:
     def test_writes_horizon_rows(self, workspace, tmp_path):
         out = tmp_path / "fc.csv"
@@ -414,6 +426,23 @@ class TestParser:
 
     def test_help_exits_ok(self):
         assert main(["--help"]) == 0
+
+    def test_bad_log_level_is_usage_error(self, tmp_path):
+        # in a fresh process: under pytest the root logger already has
+        # handlers, so logging.basicConfig would not read the level
+        import subprocess
+        import sys
+        import prbforecast
+        src = os.path.dirname(os.path.dirname(prbforecast.__file__))
+        env = {**os.environ, "PRBFORECAST_LOG": "bogus",
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = tmp_path / "gen.csv"
+        proc = subprocess.run([sys.executable, "-m", "prbforecast.cli", "gen", "--out", str(out),
+                               "--days", "1", "--carriers", "1"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: PRBFORECAST_LOG: unknown logging level 'BOGUS'\n"
+        assert not out.exists()
 
 
 class TestPinnedOutputs:

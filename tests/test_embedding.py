@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from prbforecast import tensor as T
-from prbforecast.embedding import META_ORDER, EmbeddingTables, embed_tokens, embedding_sum
+from prbforecast.model import META_ORDER, EmbeddingTables, embed_tokens, embedding_sum
 from prbforecast.model import Hyperparams, drawing_factory
 
 from conftest import assert_grads_close, central_diff, float64_factory

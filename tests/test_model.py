@@ -7,7 +7,7 @@ import pytest
 
 from prbforecast import model as model_module
 from prbforecast import tensor as T
-from prbforecast.embedding import embed_tokens
+from prbforecast.model import embed_tokens
 from prbforecast.model import (MAX_PARAMS, DecoderOutput, ForecastModel, Hyperparams,
                                causal_mask, param_count)
 from prbforecast.training import total_loss

@@ -466,6 +466,19 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="malformed header"):
             load_checkpoint(str(path))
 
+    @pytest.mark.parametrize("edit", [
+        lambda blob: edit_header(blob, lambda h: {**h, "hyperparams": {**h["hyperparams"],
+                                                                       "d_ff": 16}}),
+        append_float,
+        drop_float,
+    ], ids=["wider_d_ff", "one_float_over", "one_float_short"])
+    def test_payload_size_is_checked_against_hyperparams(self, tmp_path, edit):
+        # the size check, not a later reshape, must reject each of these
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(edit(checkpoint_bytes(*self._trained())))
+        with pytest.raises(CheckpointError, match="payload bytes"):
+            load_checkpoint(str(path))
+
     def test_loading_draws_no_random_numbers(self, tmp_path, monkeypatch):
         import prbforecast.model
         path = tmp_path / "model.ckpt"
