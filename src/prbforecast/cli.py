@@ -14,6 +14,8 @@ import os
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from . import metrics as M
 from . import synth
 from .data import (STEP, Normalizer, chronological_split, format_instants, load_csv,
@@ -215,7 +217,11 @@ def main(argv=None) -> int:
         if not isinstance(logging.getLevelName(level), int):  # a name maps to its number
             raise UsageError(f"PRBFORECAST_LOG: unknown logging level {level!r}")
         logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
-        return args.func(args)
+        # Non-finite values are checked where they matter and end in one
+        # `numerical failure:` line; numpy's own float warnings would only
+        # print before it.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except NumericalError as e:  # NaN or infinity: a diverged run (TrainingError) or softmax
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL

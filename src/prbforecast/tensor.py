@@ -15,6 +15,14 @@ closures read the weight arrays in any case. `backward()` pops and runs the
 closures from the end and leaves the tape empty, so a second backward
 without a fresh forward pass is an error.
 
+A consumer need not keep its input's array either. A producer whose saved
+arrays already determine its output gives the output's slot a `rebuild`:
+a function that remakes the array with the forward's own expression, from
+the same arrays. A consumer keeps that rebuild in place of the array when
+there is one (`_kept`), so the array dies once the forward drops it. Only
+`layer_norm` provides one (`gain * xhat + bias`); `linear`, `feed_forward`
+and `attention` use it.
+
 Only the broadcasting the model needs is supported: equal shapes, scalars,
 and a trailing-dimension bias vector. Keeps every backward rule auditable.
 """
@@ -76,13 +84,15 @@ class no_grad:
 
 class Slot:
     """The gradient state of a tensor that requires grad, but no values: the
-    gradient buffer and its shape and dtype, fixed when the tensor is made."""
-    __slots__ = ("grad", "shape", "dtype")
+    gradient buffer and its shape and dtype, fixed when the tensor is made,
+    and the producer's `rebuild` of the array, if it has one."""
+    __slots__ = ("grad", "shape", "dtype", "rebuild")
 
     def __init__(self, shape, dtype):
         self.grad = None
         self.shape = shape
         self.dtype = dtype
+        self.rebuild = None
 
 
 class Tensor:
@@ -145,6 +155,17 @@ def _result(data, inputs, backward_fn) -> Tensor:
     if track:
         _tape.append((out.slot, backward_fn))
     return out
+
+
+def _kept(t: Tensor):
+    """What a consumer keeps to read `t`'s array in backward: a function that
+    returns it, the producer's rebuild when there is one, else one that
+    returns the array itself."""
+    rebuild = None if t.slot is None else t.slot.rebuild
+    if rebuild is not None:
+        return rebuild
+    arr = t.data
+    return lambda: arr
 
 
 def _reduce_to(g: np.ndarray, shape) -> np.ndarray:
@@ -255,11 +276,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if w.data.ndim != 2 or x.data.ndim < 1 or x.shape[-1] != w.shape[0] \
             or b.shape != (w.shape[1],):
         raise ShapeError(f"linear shape mismatch: {x.shape} x {w.shape} + {b.shape}")
-    w_data, sx, sw, sb = w.data, x.slot, w.slot, b.slot
-    x2 = x.data.reshape(-1, w_data.shape[0])
-    data = _affine(x2, w_data, b.data).reshape(x.shape[:-1] + (w_data.shape[1],))
+    w_data, sx, sw, sb, x_kept = w.data, x.slot, w.slot, b.slot, _kept(x)
+    data = _affine(x.data.reshape(-1, w_data.shape[0]), w_data, b.data).reshape(
+        x.shape[:-1] + (w_data.shape[1],))
 
     def backward(g):
+        x2 = x_kept().reshape(-1, w_data.shape[0])
         dx2 = _affine_backward(x2, w_data, sw, sb, g.reshape(-1, w_data.shape[1]),
                                sx is not None)
         if dx2 is not None:
@@ -271,7 +293,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """relu(x @ w1 + b1) @ w2 + b2 over the last axis of x as one tape op,
     bit-identical to `linear`, `relu`, `linear` in value and gradients.
-    Backward keeps x's array and rebuilds the hidden layer from it."""
+    Backward keeps x (`_kept`) and rebuilds the hidden layer from it."""
     if (x.data.ndim < 1 or w1.data.ndim != 2 or w2.data.ndim != 2
             or x.shape[-1] != w1.shape[0] or b1.shape != (w1.shape[1],)
             or w2.shape[0] != w1.shape[1] or b2.shape != (w2.shape[1],)):
@@ -279,19 +301,25 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
                          f"then x {w2.shape} + {b2.shape}")
     w1_data, b1_data, w2_data = w1.data, b1.data, w2.data
     sx, sw1, sb1, sw2, sb2 = x.slot, w1.slot, b1.slot, w2.slot, b2.slot
-    x2 = x.data.reshape(-1, w1_data.shape[0])
+    d_in, x_kept = w1_data.shape[0], _kept(x)
 
-    def hidden():  # by the forward, and again by backward
-        return np.maximum(_affine(x2, w1_data, b1_data), 0)
+    def hidden(x2):  # by the forward, and again by backward
+        h = _affine(x2, w1_data, b1_data)
+        return np.maximum(h, 0, out=h)
 
-    data = _affine(hidden(), w2_data, b2.data).reshape(x.shape[:-1] + (w2_data.shape[1],))
+    data = _affine(hidden(x.data.reshape(-1, d_in)), w2_data, b2.data).reshape(
+        x.shape[:-1] + (w2_data.shape[1],))
 
     def backward(g):
-        h = hidden()
-        dh = _affine_backward(h, w2_data, sw2, sb2, g.reshape(-1, w2_data.shape[1]), True)
+        x2 = x_kept().reshape(-1, d_in)
+        h = hidden(x2)
+        g2 = g.reshape(-1, w2_data.shape[1])
+        _affine_backward(h, w2_data, sw2, sb2, g2, False)
+        live, h_dtype = h > 0, h.dtype
+        del h
         # rounded as the chain rounds it: to the hidden slot's dtype, then
         # masked as `relu` masks (by its output)
-        dh = dh.astype(h.dtype, copy=False) * (h > 0)
+        dh = (g2 @ w2_data.T).astype(h_dtype, copy=False) * live
         dx2 = _affine_backward(x2, w1_data, sw1, sb1, dh, sx is not None)
         if dx2 is not None:
             _accumulate(sx, dx2.reshape(sx.shape))
@@ -466,8 +494,9 @@ def attention(params, q_in: Tensor, kv_in: Tensor, heads: int,
     same tensor for self-attention. `mask` is an additive (T_q, T_kv) array
     as in `softmax_lastdim`. The four projections are GEMMs over all B*T
     rows; the score and context products are per-row (B, h, T, k) matmuls.
-    Backward keeps the inputs and the softmax weights and rebuilds q, k, v
-    and the context from them.
+    Backward keeps the inputs (`_kept`, once for self-attention) and the
+    softmax weights, rebuilds q, k, v and the context from them, and drops
+    each intermediate at its last use.
     """
     batch, t_q, d = q_in.shape
     t_kv = kv_in.shape[1]
@@ -481,8 +510,9 @@ def attention(params, q_in: Tensor, kv_in: Tensor, heads: int,
     proj_q, proj_k, proj_v, proj_o = [(w.data, w.slot, b.slot) for w, b in (
         (p.wq, p.bq), (p.wk, p.bk), (p.wv, p.bv), (p.wo, p.bo))]
     bq, bk, bv = p.bq.data, p.bk.data, p.bv.data
-    q2 = q_in.data.reshape(-1, d)
-    kv2 = kv_in.data.reshape(-1, d)
+    shared = kv_in is q_in
+    q_kept = _kept(q_in)
+    kv_kept = q_kept if shared else _kept(kv_in)
 
     def split(x2, steps):  # (B*T, d) -> (B, h, T, k)
         return x2.reshape(batch, steps, heads, head_dim).transpose(0, 2, 1, 3)
@@ -490,12 +520,17 @@ def attention(params, q_in: Tensor, kv_in: Tensor, heads: int,
     def merge(x):  # (B, h, T, k) -> (B*T, d)
         return x.transpose(0, 2, 1, 3).reshape(-1, d)
 
-    def project():  # q, k and v, by the forward and again by backward
+    def project(q2, kv2):  # q, k and v, by the forward and again by backward
         return (split(_affine(q2, proj_q[0], bq), t_q),
                 split(_affine(kv2, proj_k[0], bk), t_kv),
                 split(_affine(kv2, proj_v[0], bv), t_kv))
 
-    q, k, v = project()
+    def add_input_grad(slot, x2, proj, dy):  # one projection's share of backward
+        dx2 = _affine_backward(x2, *proj, merge(dy), slot is not None)
+        if dx2 is not None:
+            _accumulate(slot, dx2.reshape(slot.shape))
+
+    q, k, v = project(q_in.data.reshape(-1, d), kv_in.data.reshape(-1, d))
     scores = np.matmul(q, k.transpose(0, 1, 3, 2))
     scores_dtype = scores.dtype  # backward needs only this, not the array
     scores *= scores_dtype.type(s)
@@ -504,27 +539,32 @@ def attention(params, q_in: Tensor, kv_in: Tensor, heads: int,
     s_q, s_kv = q_in.slot, kv_in.slot
 
     def backward(g):
-        q, k, v = project()
+        q2 = q_kept().reshape(-1, d)
+        kv2 = q2 if shared else kv_kept().reshape(-1, d)
+        q, k, v = project(q2, kv2)
         ctx2 = merge(np.matmul(weights, v))
         # Each intermediate gradient is rounded to its forward array's dtype,
         # as separate tape ops would round it (a float64 mask widens the
         # weights but not the scores).
         dctx = split(_affine_backward(ctx2, *proj_o, g.reshape(-1, d), True), t_q)
+        del ctx2
         dv = np.matmul(weights.transpose(0, 1, 3, 2), dctx).astype(v.dtype, copy=False)
         dweights = np.matmul(dctx, v.transpose(0, 1, 3, 2))
+        del dctx, v
+        # the input gradients are added as they are made: v's, k's, then q's
+        add_input_grad(s_kv, kv2, proj_v, dv)
+        del dv
         dscores = _softmax_backward(weights, dweights).astype(scores_dtype, copy=False)
+        del dweights
         dscores = (dscores * s).astype(scores_dtype, copy=False)
-        dq = np.matmul(dscores, k).astype(q.dtype, copy=False)
         dk = np.matmul(dscores.transpose(0, 1, 3, 2), q).astype(k.dtype, copy=False)
-        need_q, need_kv = s_q is not None, s_kv is not None
-        dv_in = _affine_backward(kv2, *proj_v, merge(dv), need_kv)
-        dk_in = _affine_backward(kv2, *proj_k, merge(dk), need_kv)
-        dq_in = _affine_backward(q2, *proj_q, merge(dq), need_q)
-        if need_kv:
-            _accumulate(s_kv, dv_in.reshape(s_kv.shape))
-            _accumulate(s_kv, dk_in.reshape(s_kv.shape))
-        if need_q:
-            _accumulate(s_q, dq_in.reshape(s_q.shape))
+        q_dtype = q.dtype
+        del q
+        add_input_grad(s_kv, kv2, proj_k, dk)
+        del dk
+        dq = np.matmul(dscores, k).astype(q_dtype, copy=False)
+        del dscores, k
+        add_input_grad(s_q, q2, proj_q, dq)
 
     inputs = (q_in, kv_in, p.wq, p.bq, p.wk, p.bk, p.wv, p.bv, p.wo, p.bo)
     return _result(data, inputs, backward)
@@ -555,8 +595,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5,
     var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / d
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat *= inv_std
-    gain_data = gain.data
-    data = gain_data * xhat + bias.data
+    gain_data, bias_data = gain.data, bias.data
+
+    def rebuild():  # the output, by the forward and again by its consumers' backward
+        return gain_data * xhat + bias_data
+
+    data = rebuild()
     sr = None if residual is None else residual.slot
     sx, sg, sb = x.slot, gain.slot, bias.slot
 
@@ -571,7 +615,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5,
         _accumulate(sg, (g * xhat).sum(axis=lead))
         _accumulate(sb, g.sum(axis=lead))
 
-    return _result(data, inputs, backward)
+    out = _result(data, inputs, backward)
+    if out.slot is not None:
+        out.slot.rebuild = rebuild
+    return out
 
 
 def backward(loss: Tensor) -> None:

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import warnings
 
 import pytest
 
@@ -229,15 +230,20 @@ class TestTrain:
                      "--out", str(tmp_path / "m.rupf")]) == 3
 
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_diverging_run_is_numerical_failure(self, workspace, tmp_path, capsys):
+        """A diverging run overflows in numpy on its way to the loss check; with
+        every warning an error, it still exits 2 with one `numerical failure:`
+        line and nothing else on stderr."""
         config = tmp_path / "diverge.json"
         config.write_text(json.dumps({**TINY_CONFIG,
                                       "train": {**TINY_CONFIG["train"], "lr": 1e6}}))
         out = tmp_path / "model.rupf"
-        assert main(["train", "--data", str(workspace["data"]), "--config", str(config),
-                     "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("numerical failure:")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["train", "--data", str(workspace["data"]), "--config", str(config),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure:"), err
         assert not out.exists()
 
 
