@@ -225,7 +225,7 @@ class DecoderLayer:
 
 @dataclass
 class DecoderOutput:
-    """One block (M steps) or a whole rollout (K steps) for B rows."""
+    """One block (M steps) or a whole rollout (K steps) for B rows, float32."""
     det: np.ndarray        # (B, M, 8) deterministic KPI predictions, normalized units
     quantiles: np.ndarray  # (B, M, 3) residual-PRB quantiles, ascending, in [0,1]
 
@@ -233,8 +233,9 @@ class DecoderOutput:
 @functools.cache
 def causal_mask(steps: int) -> np.ndarray:
     """(T, T) additive mask: position k attends only to positions <= k.
-    Built once per size and shared, so it is read-only."""
-    mask = np.where(np.tril(np.ones((steps, steps), dtype=bool)), 0.0, -np.inf)
+    Float32, the dtype of the scores it is added to, so the decoder stays
+    float32. Built once per size and shared, so it is read-only."""
+    mask = np.triu(np.full((steps, steps), -np.inf, dtype=np.float32), k=1)
     mask.setflags(write=False)
     return mask
 
@@ -374,7 +375,8 @@ class ForecastModel:
                       dec_meta: np.ndarray) -> DecoderOutput:
         """Autoregressive-block inference on a batch of (B, N, 9) windows with
         (B, N, 5) and (B, M, 5) metadata: decoder continuous inputs are all
-        zero; quantiles come back sorted ascending and clipped to [0,1]."""
+        zero; float32 det and quantiles come back, the quantiles sorted
+        ascending and clipped to [0,1]."""
         dec_cont = np.zeros((len(enc_x), self.hp.n_future, N_FEATURES), dtype=np.float32)
         with T.no_grad():
             det, quant = self._forward(enc_x, enc_meta, dec_cont, dec_meta, 0.0)

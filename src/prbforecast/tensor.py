@@ -544,8 +544,8 @@ def attention(params, q_in: Tensor, kv_in: Tensor, heads: int,
         q, k, v = project(q2, kv2)
         ctx2 = merge(np.matmul(weights, v))
         # Each intermediate gradient is rounded to its forward array's dtype,
-        # as separate tape ops would round it (a float64 mask widens the
-        # weights but not the scores).
+        # as separate tape ops would round it (a mask wider than the scores
+        # widens the weights but not the scores).
         dctx = split(_affine_backward(ctx2, *proj_o, g.reshape(-1, d), True), t_q)
         del ctx2
         dv = np.matmul(weights.transpose(0, 1, 3, 2), dctx).astype(v.dtype, copy=False)

@@ -1,6 +1,17 @@
 import json
+import os
 import struct
 import zlib
+
+# The pinned digests (tests/test_training.py, tests/test_cli.py) hold for
+# one BLAS summation order, so the suite runs on one OpenBLAS kernel
+# wherever it runs: the one CI uses. A kernel takes effect only if it is
+# chosen before numpy loads OpenBLAS. pytest imports this file before any
+# test module, and neither the hypothesis nor the pytest-benchmark plugin
+# imports numpy. A nonempty OPENBLAS_CORETYPE still wins; OpenBLAS reads an
+# empty one as unset.
+if not os.environ.get("OPENBLAS_CORETYPE"):
+    os.environ["OPENBLAS_CORETYPE"] = "Haswell"
 
 import numpy as np
 import pytest

@@ -456,7 +456,8 @@ class TestPinnedOutputs:
         """`gen` data, a seeded untrained tiny checkpoint, then `forecast` and
         `eval` through `main`: a change to any value the CSV reader hands on,
         the model computes or a writer formats fails here. Matrix products
-        run, so the digests are those of this BLAS summation order."""
+        run, so the digests are those of one BLAS summation order: OpenBLAS's
+        Haswell kernel, which conftest.py selects."""
         data, model = tmp_path / "data.csv", tmp_path / "model.rupf"
         assert main(["gen", "--out", str(data), "--days", "2", "--carriers", "3",
                      "--seed", "5"]) == 0
@@ -476,5 +477,5 @@ class TestPinnedOutputs:
         assert digests == [
             "8932089e6b2554c9ca99116bbfe2359ed5182c58f897983de5680ef48efc0784",
             "3a09d2c38ca446c4954023783ec1e82ea1130f2d4ad4bd2116e9f12653319a3c",
-            "498f988de108e91463d8790be3edc2abb4601e7f981a08e846bab934a09b3dbf",
-            "5fa7b1eacddbbf6579a9bba72f2474a0d5a2b9ddec8657ac3689a65d693f8154"]
+            "1e7354ecc9e76522afebc3175f8498d186c791ad07368e713a2b02fb0a8298a2",
+            "d32a8102a84ec60e6bad53b68f1e863eca314910b0411dac01afe949a79fbe00"]

@@ -146,7 +146,7 @@ class TestDecoder:
     def test_causal_mask_is_built_once_per_size_and_read_only(self):
         mask = causal_mask(4)
         assert causal_mask(4) is mask and causal_mask(3) is not mask
-        assert mask.dtype == np.float64 and not mask.flags.writeable
+        assert mask.dtype == np.float32 and not mask.flags.writeable
         np.testing.assert_array_equal(mask, np.triu(np.full((4, 4), -np.inf), k=1))
 
 
@@ -232,11 +232,12 @@ class TestTapeOps:
         """Backward frees each op's saved arrays once its closure has run;
         attention and feed_forward rebuild their intermediates there and drop
         each at its last use, and consumers rebuild layer-norm outputs, so the
-        traced peak of a B=64 forward, loss and backward reads 2.2 MB.
-        Keeping the layer-norm outputs read 3.2 MB, saving the projections
-        and hidden layers as well 6.4 MB, and a backward that keeps the whole
-        tape until the end 7.1 MB. (Against the 1.4 MB the forward leaves
-        live, the rebuilt arrays make the ratio 1.6x.)"""
+        traced peak of a B=64 forward, loss and backward reads 2.0 MB. A
+        float64 decoder read 2.2 MB, keeping the layer-norm outputs as well
+        3.2 MB, saving the projections and hidden layers as well 6.4 MB, and
+        a backward that keeps the whole tape until the end 7.1 MB. (Against
+        the 1.0 MB the forward leaves live, the rebuilt arrays make the
+        ratio 1.9x.)"""
         hp = Hyperparams()
         T.seed_all(0)
         model = ForecastModel(hp)
@@ -358,11 +359,12 @@ class TestTapeOps:
 
     def test_forward_and_loss_leave_at_most_10_mb_live_at_b400(self):
         """Traced bytes that a default training forward and loss leave live at
-        B=400: about 8.6 MB when consumers rebuild layer-norm outputs in
-        backward, 14 MB when they kept them (attention and feed_forward saving
-        only their inputs and the softmax weights), 35 MB when they saved
-        their projections and hidden layers as well, 55 MB when the tape held
-        every op's output tensor."""
+        B=400: about 6.2 MB, with the decoder in float32 and consumers
+        rebuilding layer-norm outputs in backward. With a float64 decoder it
+        read 8.6 MB, 14 MB when consumers kept those outputs (attention and
+        feed_forward saving only their inputs and the softmax weights), 35 MB
+        when they saved their projections and hidden layers as well, 55 MB
+        when the tape held every op's output tensor."""
         hp = Hyperparams()
         T.seed_all(0)
         model = ForecastModel(hp)
@@ -376,6 +378,36 @@ class TestTapeOps:
         finally:
             tracemalloc.stop()
         assert live <= 10e6, f"{live / 1e6:.1f} MB live after forward and loss"
+
+    def test_default_step_and_block_stay_float32(self, monkeypatch):
+        """The causal mask has the scores' dtype, so nothing widens: a default
+        B=8 training forward, loss and backward keep det, quant, the loss,
+        every tape slot, every gradient added into a slot and every parameter
+        gradient float32, and `forward_block` returns float32 arrays. A
+        float64 mask would widen the decoder, the head and the loss."""
+        f32 = np.dtype(np.float32)
+        added = []
+        accumulate = T._accumulate
+
+        def traced_accumulate(slot, g):
+            added.append(g.dtype)
+            accumulate(slot, g)
+
+        monkeypatch.setattr(T, "_accumulate", traced_accumulate)
+        hp = Hyperparams()
+        T.seed_all(0)
+        model = ForecastModel(hp)
+        enc_x, enc_meta, targets, dec_meta = make_batch(hp, batch=8)
+        det, quant = model.forward_training(enc_x, enc_meta, targets, dec_meta)
+        loss = total_loss(det, quant, targets, 0.9, 1.2)
+        assert (det.dtype, quant.dtype, loss.dtype) == (f32, f32, f32)
+        assert {slot.dtype for slot, _ in T.tape()} == {f32}
+        T.backward(loss)
+        assert added and set(added) == {f32}
+        for name, p in model.named_params():
+            assert p.grad.dtype == f32, f"{name} gradient is {p.grad.dtype}"
+        out = model.forward_block(enc_x, enc_meta, dec_meta)
+        assert (out.det.dtype, out.quantiles.dtype) == (f32, f32)
 
     def test_forward_block_leaves_the_tape_empty(self):
         hp = Hyperparams()

@@ -236,17 +236,19 @@ def storing_attention(params, q_in, kv_in, heads, mask=None):
     return T._result(data, inputs, backward)
 
 
-# (cross, causal mask, parameter dtype, query dtype, key/value dtype)
+# (cross, causal mask dtype or None for no mask, parameter dtype, query
+# dtype, key/value dtype)
 RECOMPUTE_CASES = {
-    "encoder_self_f32": (False, False, np.float32, np.float32, np.float32),
-    "decoder_layer1_self_f32_tokens_f64_mask": (False, True, np.float32, np.float32,
+    "encoder_self_f32": (False, None, np.float32, np.float32, np.float32),
+    "decoder_self_f32": (False, np.float32, np.float32, np.float32, np.float32),
+    "decoder_layer1_self_f32_tokens_f64_mask": (False, np.float64, np.float32, np.float32,
                                                 np.float32),
-    "decoder_self_f64_activations": (False, True, np.float32, np.float64, np.float64),
-    "decoder_cross_f64_query_f32_memory": (True, False, np.float32, np.float64, np.float32),
-    "cross_f32": (True, False, np.float32, np.float32, np.float32),
-    "self_f64": (False, False, np.float64, np.float64, np.float64),
-    "self_masked_f64": (False, True, np.float64, np.float64, np.float64),
-    "cross_f64": (True, False, np.float64, np.float64, np.float64),
+    "decoder_self_f64_activations": (False, np.float64, np.float32, np.float64, np.float64),
+    "decoder_cross_f64_query_f32_memory": (True, None, np.float32, np.float64, np.float32),
+    "cross_f32": (True, None, np.float32, np.float32, np.float32),
+    "self_f64": (False, None, np.float64, np.float64, np.float64),
+    "self_masked_f64": (False, np.float64, np.float64, np.float64, np.float64),
+    "cross_f64": (True, None, np.float64, np.float64, np.float64),
 }
 
 
@@ -255,9 +257,9 @@ class TestAttentionRecompute:
     def test_value_and_gradients_are_bitwise_those_of_the_storing_op(self, case):
         """Backward rebuilds q, k, v and the context from the saved inputs
         with the forward's own calls, so nothing moves by a bit, whatever
-        the mix of float32 and float64 (the float64 causal mask widens the
-        decoder's activations)."""
-        cross, masked, p_dtype, q_dtype, kv_dtype = case
+        the mix of float32 and float64 (a float64 mask over float32 scores
+        widens the softmax weights but not the scores)."""
+        cross, mask_dtype, p_dtype, q_dtype, kv_dtype = case
         rng = np.random.default_rng(27)
         batch, d, heads, t_q = 6, 16, 4, 5
         t_kv = 3 if cross else t_q
@@ -265,7 +267,7 @@ class TestAttentionRecompute:
         q_data = rng.standard_normal((batch, t_q, d))
         kv_data = rng.standard_normal((batch, t_kv, d))
         probe = Tensor(rng.standard_normal((batch, t_q, d)), dtype=np.float64)
-        mask = causal_mask(t_q) if masked else None
+        mask = None if mask_dtype is None else causal_mask(t_q).astype(mask_dtype)
         results = []
         for fn in (storing_attention, T.attention):
             p = SimpleNamespace(**{n: Tensor(t.data, requires_grad=True, dtype=p_dtype)
@@ -307,9 +309,10 @@ class TestFeedForward:
                                                                          dtype1, dtype2):
         """As in the model: x also feeds a residual layer_norm, so x's
         gradient is a fan-out sum, and the fused op adds its part at the
-        chain's place in the tape order. In the decoder, float64 activations
-        meet float32 weights; a float64 second layer over a float32 hidden
-        layer checks that the hidden gradient is rounded to float32 first."""
+        chain's place in the tape order. The mixed cases put float64
+        activations over float32 weights, and a float64 second layer over a
+        float32 hidden layer checks that the hidden gradient is rounded to
+        float32 first."""
         rng = np.random.default_rng(30)
         shape, d_ff = (40, 3, 16), 32
         x_data = rng.standard_normal(shape)
@@ -454,9 +457,8 @@ class TestLayerNorm:
     @pytest.mark.parametrize("x_dtype, r_dtype", [
         (np.float32, np.float32), (np.float32, np.float64), (np.float64, np.float64)])
     def test_residual_is_bitwise_equal_to_add_then_norm(self, x_dtype, r_dtype):
-        """As in the model at B=400: float32 throughout in the encoder; in the
-        decoder float64 activations (from the float64 causal mask) meet
-        float32 gain and bias."""
+        """As in the model at B=400: float32 throughout; the mixed cases put
+        float64 activations over float32 gain and bias."""
         rng = np.random.default_rng(6)
         shape = (400, 4, 64)
         probe = Tensor(rng.standard_normal(shape))
@@ -608,7 +610,7 @@ class TestBackwardContract:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_dropout_gradient_is_g_times_the_scaled_keep_mask(self, dtype):
         """The gradient is the incoming one times the forward's scaled mask,
-        bit for bit; the decoder runs dropout in float64."""
+        bit for bit, in float32 (as the model runs it) and in float64."""
         rng = np.random.default_rng(4)
         x = Tensor(rng.standard_normal((6, 5)), requires_grad=True, dtype=dtype)
         g = rng.standard_normal((6, 5)).astype(dtype)

@@ -374,10 +374,11 @@ class TestCheckpoint:
     def test_trained_tiny_bytes_are_pinned(self):
         """Every gradient byte of two seeded epochs, pinned through the
         weights they leave. Matrix products run here, so the digest is that
-        of this float32 BLAS summation order."""
+        of one float32 BLAS summation order: OpenBLAS's Haswell kernel, which
+        conftest.py selects."""
         model, cfg, norm = self._trained()
         assert hashlib.sha256(checkpoint_bytes(model, cfg, norm)).hexdigest() == (
-            "7d97fb8295f0c6c56f3e0948bee703aad6563fb24f5a930d902f71c66cb176f4")
+            "0a03da70ae5392ae778cd14fc4c816d27e0c7fe2cbe9a2e3eb1a1ffc6be59857")
 
     def test_payload_size_matches_param_count(self, tmp_path):
         from prbforecast.model import param_count
